@@ -11,9 +11,10 @@ edges off consecutive spine pairs that are not graph edges.
 Sides are resolved against the rotation system: at a path vertex the
 edges lying clockwise strictly between the outgoing and the incoming path
 step go right, the rest left.  When a path step is a completion edge its
-rotational slot is the corner, at that vertex, of the face flanking the
-first (at the tail) or last (at the head) edge it crosses; the source's
-and sink's missing path steps are the outer-face gaps of their rotations.
+rotational slot is the corner, at that vertex, of the triangle flanking
+the first (at the tail) or last (at the head) edge it crosses, read off
+the rotations; the source's and sink's missing path steps are the
+outer-face gaps of their rotations.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from typing import Optional, Union
 from .graph_model import (
     DirectedEdge,
     EmbeddedDigraph,
-    FaceSet,
     GraphError,
     OTStDigraph,
     VertexId,
-    faces,
+    triangle_apex,
 )
 from .solver import HpCompletionResult, verify_solution
 
@@ -67,26 +67,18 @@ class BookEmbedding:
     crossings: tuple[SpineCrossing, ...]
 
 
-def _corner_slot(
-    g: EmbeddedDigraph, fs: FaceSet, v: VertexId, crossed: DirectedEdge
-) -> float:
+def _corner_slot(g: EmbeddedDigraph, v: VertexId, crossed: DirectedEdge) -> float:
     """Rotational position (index + .5) at ``v`` of a curve leaving into
-    the face that flanks ``crossed`` and has ``v`` on its boundary."""
+    the face that flanks ``crossed`` and has ``v`` on its boundary: the
+    triangle (x, y, v) on one side of the chord ``crossed`` = (x, y)."""
     x, y = crossed
-    for dart in ((x, y), (y, x)):
-        walk = fs.walks[fs.dart_face[dart]]
-        verts = {a for (a, _) in walk}
-        if v in verts:
-            others = verts - {v}
-            break
-    else:
+    if v not in (triangle_apex(g, x, y), triangle_apex(g, y, x)):
         raise GraphError(
             "internal", f"no face flanking {crossed} touches vertex {v}"
         )
-    rot = g.rotation[v]
-    pos = {w: i for i, w in enumerate(rot)}
-    p, q = sorted(pos[w] for w in others)
-    deg = len(rot)
+    pos = g._rot_pos[v]
+    p, q = sorted((pos[x], pos[y]))
+    deg = len(g.rotation[v])
     if q == p + 1:
         return p + 0.5
     if p == 0 and q == deg - 1:
@@ -122,10 +114,7 @@ def to_book_embedding(g: OTStDigraph, r: HpCompletionResult) -> BookEmbedding:
         for j, e in enumerate(lst):
             crossing_of[e] = SpineCrossing(edge=e, gap=gap, rank_in_gap=j)
 
-    fs = faces(base)
-    pos = [
-        {w: i for i, w in enumerate(rot)} for rot in base.rotation
-    ]
+    pos = base._rot_pos
     out_pos: list[Optional[float]] = [None] * n
     in_pos: list[Optional[float]] = [None] * n
     crossings_by_ce = dict(zip(r.completion_edges, r.crossings))
@@ -135,8 +124,8 @@ def to_book_embedding(g: OTStDigraph, r: HpCompletionResult) -> BookEmbedding:
             in_pos[b] = float(pos[b][a])
         else:
             lst = crossings_by_ce[(a, b)]
-            out_pos[a] = _corner_slot(base, fs, a, lst[0])
-            in_pos[b] = _corner_slot(base, fs, b, lst[-1])
+            out_pos[a] = _corner_slot(base, a, lst[0])
+            in_pos[b] = _corner_slot(base, b, lst[-1])
     in_pos[base.s] = len(base.rotation[base.s]) - 0.5
     # The sink's outgoing step is the outer-face gap between the tops of
     # the two boundary chains.

@@ -29,8 +29,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
     g = gm.parse_graph(text)
-    fs = gm.faces(g)
-    print(f"n={g.n} m={g.m} interior-faces={len(fs.walks) - 1}")
+    # parse_graph checked n - m + F = 2, so F - 1 = m - n + 1.
+    print(f"n={g.n} m={g.m} interior-faces={g.m - g.n + 1}")
     print("st-digraph: ok")
     try:
         ot = gm.classify_ot(g)

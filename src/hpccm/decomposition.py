@@ -82,20 +82,18 @@ DecompositionElement = Union[StPolygon, FreeVertex]
 class Decomposition(Deferred):
     """Total order of maximal st-polygons and free vertices.
 
-    :func:`decompose` fills ``layout`` with the kernel's columns and builds
-    the records in ``elements`` from them on first read.
+    ``layout`` holds the kernel's columns; :func:`decompose` builds the
+    records in ``elements`` from them on first read.
     """
 
     elements: tuple[DecompositionElement, ...]
     shared: tuple[int, ...]
-    layout: Optional[Layout] = field(default=None, compare=False, repr=False)
+    layout: Layout = field(compare=False, repr=False)
 
     @property
     def polygon_count(self) -> int:
         layout = self.layout
-        if layout is not None:
-            return int(layout.poly.sum()) if layout.np is not None else sum(layout.poly)
-        return sum(1 for e in self.elements if isinstance(e, StPolygon))
+        return int(layout.poly.sum()) if layout.np is not None else sum(layout.poly)
 
 
 def _polygon_record(g: OTStDigraph, cols: Sequence[int]) -> StPolygon:

@@ -78,13 +78,6 @@ class EmbeddedDigraph:
         )
 
     @cached_property
-    def in_neighbors(self) -> tuple[tuple[VertexId, ...], ...]:
-        return tuple(
-            tuple(w for w in rot if (w, v) in self.edges)
-            for v, rot in enumerate(self.rotation)
-        )
-
-    @cached_property
     def _rot_pos(self) -> tuple[dict[VertexId, int], ...]:
         return tuple({w: i for i, w in enumerate(rot)} for rot in self.rotation)
 
@@ -92,11 +85,6 @@ class EmbeddedDigraph:
         """Neighbour immediately before ``u`` in the clockwise order at ``v``."""
         rot = self.rotation[v]
         return rot[self._rot_pos[v][u] - 1]
-
-    def cw_succ(self, v: VertexId, u: VertexId) -> VertexId:
-        rot = self.rotation[v]
-        pos = self._rot_pos[v][u] + 1
-        return rot[pos if pos < len(rot) else 0]
 
     def next_dart(self, dart: Dart) -> Dart:
         """Following dart on the boundary of the face right of ``dart``."""
@@ -113,10 +101,6 @@ class FaceSet:
 
     walks: tuple[tuple[Dart, ...], ...]
     outer: int
-
-    @cached_property
-    def dart_face(self) -> dict[Dart, int]:
-        return {d: i for i, walk in enumerate(self.walks) for d in walk}
 
     @property
     def interior(self) -> tuple[tuple[Dart, ...], ...]:
@@ -302,6 +286,30 @@ def trace_face(g: EmbeddedDigraph, start: Dart) -> tuple[Dart, ...]:
         walk.append((u, v))
 
 
+def triangle_apex(g: EmbeddedDigraph, u: VertexId, v: VertexId) -> Optional[VertexId]:
+    """Third vertex w of the face right of dart (u, v) if that face is a
+    triangle, else None: w = cw_pred(v, u), and two more steps of
+    :meth:`EmbeddedDigraph.next_dart` must lead back to (u, v).  O(1)."""
+    rotation, rot_pos = g.rotation, g._rot_pos
+    w = rotation[v][rot_pos[v][u] - 1]
+    if rotation[w][rot_pos[w][v] - 1] == u and rotation[u][rot_pos[u][w] - 1] == v:
+        return w
+    return None
+
+
+def check_interior_triangles(g: EmbeddedDigraph, outer: set[Dart]) -> None:
+    """Raise ``non-triangular-face`` naming the first interior face, in the
+    order :func:`faces` lists them, that is not a triangle.  ``outer`` holds
+    the darts of the outer face.  O(m)."""
+    edges = sorted(g.edges)
+    for dart in edges + [(v, u) for (u, v) in edges]:
+        if dart not in outer and triangle_apex(g, *dart) is None:
+            names = ",".join(g.names[u] for (u, _) in trace_face(g, dart))
+            raise GraphError(
+                "non-triangular-face", f"interior face ({names}) is not a triangle"
+            )
+
+
 def outer_face_start(g: EmbeddedDigraph) -> Dart:
     """Dart whose right face is the outer face, by the format convention."""
     return (g.s, g.rotation[g.s][-1])
@@ -329,6 +337,28 @@ def faces(g: EmbeddedDigraph) -> FaceSet:
             outer = len(walks)
         walks.append(walk)
     return FaceSet(walks=tuple(walks), outer=outer)
+
+
+def kahn_order(g: EmbeddedDigraph) -> tuple[list[VertexId], bool]:
+    """Kahn elimination: the vertices in the order they are removed, and
+    whether two vertices were ever ready at once.  The order is shorter
+    than n exactly when the graph has a directed cycle, and it is the only
+    topological order exactly when it is full and never ambiguous."""
+    indeg = [0] * g.n
+    for (_, v) in g.edges:
+        indeg[v] += 1
+    ready = [v for v, d in enumerate(indeg) if d == 0]
+    order: list[VertexId] = []
+    ambiguous = False
+    while ready:
+        ambiguous = ambiguous or len(ready) > 1
+        v = ready.pop()
+        order.append(v)
+        for w in g.out_neighbors[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return order, ambiguous
 
 
 def _check_consecutive_blocks(g: EmbeddedDigraph, v: VertexId) -> None:
@@ -375,18 +405,7 @@ def validate_embedded(g: EmbeddedDigraph) -> None:
             f"expected {g.names[g.t]} as the unique sink, found "
             f"{[g.names[v] for v in sinks]}",
         )
-    # Kahn elimination detects cycles.
-    deg = list(indeg)
-    stack = [g.s]
-    visited = 0
-    while stack:
-        v = stack.pop()
-        visited += 1
-        for w in g.out_neighbors[v]:
-            deg[w] -= 1
-            if deg[w] == 0:
-                stack.append(w)
-    if visited != n:
+    if len(kahn_order(g)[0]) != n:
         raise GraphError("cyclic", "graph contains a directed cycle")
     for v in range(n):
         _check_consecutive_blocks(g, v)
@@ -425,6 +444,8 @@ def parse_graph(text: str) -> EmbeddedDigraph:
         raise GraphError(
             "syntax", f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # too long a number, too deep
+        raise GraphError("syntax", str(exc)) from exc
     if not isinstance(data, dict):
         raise GraphError("schema", "top-level value must be an object")
     for key in _FORMAT_KEYS:
@@ -448,6 +469,8 @@ def parse_graph(text: str) -> EmbeddedDigraph:
 
     s = vid(data["source"], "source")
     t = vid(data["sink"], "sink")
+    if not isinstance(data["edges"], list):
+        raise GraphError("schema", "edges must be a list of pairs")
     edges: set[DirectedEdge] = set()
     for item in data["edges"]:
         if not isinstance(item, list) or len(item) != 2:
@@ -469,6 +492,8 @@ def parse_graph(text: str) -> EmbeddedDigraph:
     for i, name in enumerate(names):
         if name not in rot_obj:
             raise GraphError("schema", f"rotation missing for vertex {name!r}")
+        if not isinstance(rot_obj[name], list):
+            raise GraphError("schema", f"rotation of {name!r} must be a list")
         row = [vid(w, f"rotation of {name!r}") for w in rot_obj[name]]
         if len(row) != len(set(row)):
             raise GraphError("schema", f"repeated neighbour in rotation of {name!r}")
@@ -478,6 +503,9 @@ def parse_graph(text: str) -> EmbeddedDigraph:
                 f"rotation of {name!r} does not list exactly its neighbours",
             )
         rotation.append(tuple(row))
+    if len(rot_obj) != len(names):
+        extra = next(key for key in rot_obj if key not in ids)
+        raise GraphError("schema", f"rotation of unknown vertex {extra!r}")
     g = EmbeddedDigraph(
         names=tuple(names),
         s=s,
@@ -563,13 +591,7 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
     if set(left) & set(right_chain):
         raise GraphError("not-outerplanar", "boundary chains overlap")
     if g.m != 2 * g.n - 3:
-        for wk in faces(g).interior:
-            if len(wk) != 3:
-                face_names = "(" + ",".join(g.names[u] for (u, _) in wk) + ")"
-                raise GraphError(
-                    "non-triangular-face",
-                    f"interior face {face_names} is not a triangle",
-                )
+        check_interior_triangles(g, set(outer))
         raise GraphError(
             "non-triangular-face", f"{g.m} edges, a triangulation has {2 * g.n - 3}"
         )

@@ -15,10 +15,12 @@ from typing import Optional
 from .graph_model import (
     DirectedEdge,
     EmbeddedDigraph,
-    FaceSet,
-    GraphError,
     VertexId,
-    faces,
+    check_interior_triangles,
+    kahn_order,
+    outer_face_start,
+    trace_face,
+    triangle_apex,
 )
 
 
@@ -31,58 +33,46 @@ class Rhombus:
     median: DirectedEdge
 
 
-def _transitive_apex(
-    g: EmbeddedDigraph, fs: FaceSet, edge: DirectedEdge, dart: tuple[int, int]
-) -> Optional[VertexId]:
-    """Third vertex w of the triangle right of ``dart`` if it carries the
-    transitive orientation u->w->v over ``edge`` = (u, v); None otherwise
-    (including when that face is the outer one)."""
-    face_id = fs.dart_face[dart]
-    if face_id == fs.outer:
-        return None
-    walk = fs.walks[face_id]
-    if len(walk) != 3:
-        return None
-    u, v = edge
-    (w,) = {x for (x, _) in walk} - {u, v}
-    if (u, w) in g.edges and (w, v) in g.edges:
-        return w
-    return None
-
-
-def find_rhombi(
-    g: EmbeddedDigraph, face_set: Optional[FaceSet] = None
-) -> tuple[Rhombus, ...]:
+def find_rhombi(g: EmbeddedDigraph) -> tuple[Rhombus, ...]:
     """All rhombi of a triangulated st-digraph, one O(1) test per edge.
 
-    Reported once per median edge, ordered by (tail id, head id).  Raises
-    if some interior face is not a triangle.
+    An edge (u, v) is a median when both its faces are interior triangles
+    (read off the rotations by :func:`~hpccm.graph_model.triangle_apex`)
+    whose apexes w satisfy u -> w -> v.  Reported once per median edge,
+    ordered by (tail id, head id).  Raises if some interior face is not a
+    triangle.
     """
-    fs = face_set if face_set is not None else faces(g)
-    for i, walk in enumerate(fs.walks):
-        if i != fs.outer and len(walk) != 3:
-            names = "(" + ",".join(g.names[u] for (u, _) in walk) + ")"
-            raise GraphError(
-                "non-triangular-face",
-                f"interior face {names} is not a triangle",
-            )
+    edges = g.edges
+    outer = set(trace_face(g, outer_face_start(g)))
+
+    def apex(u: VertexId, v: VertexId) -> Optional[VertexId]:
+        if (u, v) in outer:
+            return None
+        w = triangle_apex(g, u, v)
+        if w is None:
+            check_interior_triangles(g, outer)  # raises: this face is one
+        return w
+
     out = []
-    for (u, v) in sorted(g.edges):
-        right_apex = _transitive_apex(g, fs, (u, v), (u, v))
-        if right_apex is None:
-            continue
-        left_apex = _transitive_apex(g, fs, (u, v), (v, u))
-        if left_apex is None:
-            continue
-        out.append(
-            Rhombus(
-                source=u,
-                sink=v,
-                left_apex=left_apex,
-                right_apex=right_apex,
-                median=(u, v),
+    for (u, v) in sorted(edges):
+        right_apex, left_apex = apex(u, v), apex(v, u)
+        if (
+            right_apex is not None
+            and left_apex is not None
+            and (u, right_apex) in edges
+            and (right_apex, v) in edges
+            and (u, left_apex) in edges
+            and (left_apex, v) in edges
+        ):
+            out.append(
+                Rhombus(
+                    source=u,
+                    sink=v,
+                    left_apex=left_apex,
+                    right_apex=right_apex,
+                    median=(u, v),
+                )
             )
-        )
     return tuple(out)
 
 
@@ -94,22 +84,8 @@ def hamiltonian_path(g: EmbeddedDigraph) -> Optional[tuple[VertexId, ...]]:
     The consecutive-edge check below is then redundant but guards the
     implementation.
     """
-    n = g.n
-    indeg = [0] * n
-    for (_, v) in g.edges:
-        indeg[v] += 1
-    ready = [v for v in range(n) if indeg[v] == 0]
-    order: list[VertexId] = []
-    while ready:
-        if len(ready) > 1:
-            return None
-        v = ready.pop()
-        order.append(v)
-        for w in g.out_neighbors[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if len(order) != n:
+    order, ambiguous = kahn_order(g)
+    if ambiguous or len(order) != g.n:
         return None
     for a, b in zip(order, order[1:]):
         if (a, b) not in g.edges:

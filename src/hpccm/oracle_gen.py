@@ -10,7 +10,11 @@ returned.
 The oracles deliberately avoid the solver's recurrences: minimum
 crossings are found by enumerating all entry-side vectors and counting
 forced crossings from boundary interleavings, and hamiltonicity by
-depth-first search over all simple source-to-sink paths.
+depth-first search over all simple source-to-sink paths.  The
+enumeration builds its paths with the record-level reference code at the
+end of this module (costs, crossing lists and path construction on
+:class:`~hpccm.decomposition.StPolygon` records), which is also what the
+tests compare the positional kernel against.
 """
 
 from __future__ import annotations
@@ -18,16 +22,20 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
+from typing import Optional, Sequence
 
+from .decomposition import Decomposition, FreeVertex, StPolygon, decompose
 from .graph_model import (
+    DirectedEdge,
     EmbeddedDigraph,
     GraphError,
     OTStDigraph,
     OtArrays,
+    VertexId,
     classify_ot,
 )
-from .solver import min_crossings_by_enumeration
+from .solver import PolygonCosts, Side, all_costs, interleaves
 
 
 @dataclass(frozen=True)
@@ -107,8 +115,35 @@ def random_ot(profile: GenProfile) -> OTStDigraph:
 
 def exhaustive_min_crossings(g: OTStDigraph, max_polygons: int = 20) -> int:
     """Brute-force minimum crossings over all 2^(polygon count) entry-side
-    vectors, counted from boundary interleavings (no DP recurrences)."""
-    return min_crossings_by_enumeration(g, max_polygons=max_polygons)
+    vectors.
+
+    Each candidate path is built by :func:`construct_path` and its
+    crossings are counted independently of both the DP recurrences and
+    the construction's own crossing lists, by testing which graph edges
+    interleave each completion edge on the boundary cycle.
+    """
+    d = decompose(g)
+    polys = [i for i, el in enumerate(d.elements) if isinstance(el, StPolygon)]
+    if len(polys) > max_polygons:
+        raise GraphError(
+            "too-many-polygons",
+            f"{len(polys)} polygons exceed the oracle limit {max_polygons}",
+        )
+    costs = all_costs(d)
+    cyc = g.cycle_pos
+    base_n = g.base.n
+    edges = sorted(g.base.edges)
+    sides: list[Optional[Side]] = [None] * len(d.elements)
+
+    def crossings(bits: tuple[Side, ...]) -> int:
+        for idx, side in zip(polys, bits):
+            sides[idx] = side
+        _, ces, _ = construct_path(d, costs, sides)
+        return sum(1 for ce in ces for e in edges if interleaves(cyc, base_n, ce, e))
+
+    # With no polygons the one empty side vector gives the path of free
+    # vertices and 0 crossings.
+    return min(map(crossings, product("LR", repeat=len(polys))))
 
 
 def exhaustive_hamiltonian(g: EmbeddedDigraph, limit: int = 12) -> bool:
@@ -297,3 +332,200 @@ def polygon_stack(count: int, validate: bool = True) -> OTStDigraph:
     return _from_cycle(
         names=names, cycle=cycle, heights=heights, chords=chords, validate=validate
     )
+
+
+# ---------------------------------------------------------------------------
+# Record-level reference: costs, crossing lists and path construction on
+# StPolygon records.  The exhaustive oracle builds its paths with these, and
+# the tests check the kernel (core.polygon columns, core.build_path,
+# core.hop_crossings) against them.
+
+
+class _Builder:
+    """Assembles the hamiltonian path as runs separated by completion hops.
+
+    A run is a maximal stretch of real graph edges.  Keeping runs separate
+    makes the limiting-edge junction rewrite an O(1) splice: it inserts
+    one run before the final one and replaces the last completion hop.
+    """
+
+    def __init__(self) -> None:
+        self.runs: list[list[VertexId]] = []
+        self.hops: list[Optional[tuple[DirectedEdge, tuple[DirectedEdge, ...]]]] = []
+
+    def glue(self, vertices: Sequence[VertexId]) -> None:
+        if not vertices:
+            return
+        if not self.runs:
+            self.runs.append(list(vertices))
+        else:
+            self.runs[-1].extend(vertices)
+
+    def hop(
+        self, ce: DirectedEdge, crossed: tuple[DirectedEdge, ...], run: Sequence[VertexId]
+    ) -> None:
+        if not self.runs or self.runs[-1][-1] != ce[0]:
+            raise GraphError("internal", f"completion edge {ce} detached from path")
+        self.hops.append((ce, crossed))
+        self.runs.append(list(run))
+        if run[0] != ce[1]:
+            raise GraphError("internal", f"completion edge {ce} detached from path")
+
+    def last(self) -> VertexId:
+        return self.runs[-1][-1]
+
+    def pop_last(self) -> VertexId:
+        return self.runs[-1].pop()
+
+    def last_hop(self) -> tuple[DirectedEdge, tuple[DirectedEdge, ...]]:
+        if not self.hops or self.hops[-1] is None:
+            raise GraphError("internal", "expected a completion hop at the junction")
+        return self.hops[-1]
+
+    def splice_before_last(
+        self,
+        run: Sequence[VertexId],
+        merged: tuple[DirectedEdge, tuple[DirectedEdge, ...]],
+    ) -> None:
+        self.runs.insert(len(self.runs) - 1, list(run))
+        self.hops[-1] = merged
+        self.hops.insert(len(self.hops) - 1, None)
+
+    def result(self) -> tuple[
+        tuple[VertexId, ...],
+        tuple[DirectedEdge, ...],
+        tuple[tuple[DirectedEdge, ...], ...],
+    ]:
+        path: list[VertexId] = []
+        for run in self.runs:
+            path.extend(run)
+        ces = tuple(h[0] for h in self.hops if h is not None)
+        crossings = tuple(h[1] for h in self.hops if h is not None)
+        return tuple(path), ces, crossings
+
+
+def _polygon_runs(p: StPolygon, side: Side) -> tuple[list[VertexId], list[VertexId]]:
+    """First and second run of the polygon's stand-alone path."""
+    if side == "L":
+        return [p.source, *p.right_chain], [*p.left_chain, p.sink]
+    return [p.source, *p.left_chain], [*p.right_chain, p.sink]
+
+
+def construct_path(
+    d: Decomposition,
+    costs: Sequence[Optional[PolygonCosts]],
+    sides: Sequence[Optional[Side]],
+) -> tuple[
+    tuple[VertexId, ...],
+    tuple[DirectedEdge, ...],
+    tuple[tuple[DirectedEdge, ...], ...],
+]:
+    """Build the full path for one choice of entry side per polygon.
+
+    Used with every side vector by the exhaustive oracle, and with the
+    DP-optimal sides as the reference for :func:`hpccm.solver.reconstruct`.
+    """
+    b = _Builder()
+    prev_side: Optional[Side] = None
+    for i, el in enumerate(d.elements):
+        if isinstance(el, FreeVertex):
+            b.glue([el.vertex])
+            prev_side = None
+            continue
+        p = el
+        side = sides[i]
+        if side not in ("L", "R"):
+            raise GraphError("internal", f"missing side for polygon element {i}")
+        ce = costs[i].edge_left if side == "L" else costs[i].edge_right
+        crossed = crossed_edges(p, side)
+        shared = d.shared[i - 1] if i > 0 else 0
+        if shared <= 1:
+            first, second = _polygon_runs(p, side)
+            if shared == 1:
+                if b.last() != p.source:
+                    raise GraphError("internal", "shared source not at path end")
+                first = first[1:]
+            b.glue(first)
+            b.hop(ce, crossed, second)
+            prev_side = side
+            continue
+        # Junction over a shared limiting edge (source, t_prev): t_prev is
+        # the previous polygon's sink and the first vertex of one of this
+        # polygon's chains.
+        t_prev = p.lower_limit[1]
+        near_is_left = bool(p.left_chain) and p.left_chain[0] == t_prev
+        near, far = (
+            (p.left_chain, p.right_chain)
+            if near_is_left
+            else (p.right_chain, p.left_chain)
+        )
+        near_side: Side = "L" if near_is_left else "R"
+        if side != near_side:
+            # Continue up the shared sink's own chain; the far chain is
+            # reached by this polygon's plain completion edge.
+            if b.last() != t_prev:
+                raise GraphError("internal", "junction vertex not at path end")
+            b.glue(near[1:])
+            b.hop(ce, crossed, [*far, p.sink])
+        elif prev_side != near_side:
+            # The previous path reached t_prev from the other chain, so its
+            # last step was the limiting edge itself; reroute it through
+            # the far chain.
+            if b.pop_last() != t_prev or b.last() != p.source:
+                raise GraphError("internal", "limiting edge not at path end")
+            b.glue(far)
+            b.hop(ce, crossed, [t_prev, *near[1:], p.sink])
+        else:
+            # Both entries on the shared side: merge this polygon's
+            # completion edge with the previous one; the merged edge
+            # additionally crosses the shared limiting edge.
+            (old_ce, old_crossed) = b.last_hop()
+            if old_ce[0] != p.source:
+                raise GraphError("internal", "junction hop does not leave the source")
+            merged_ce = (far[-1], old_ce[1])
+            merged_crossed = crossed + (p.lower_limit,) + old_crossed
+            b.splice_before_last(list(far), (merged_ce, merged_crossed))
+            b.glue([*near[1:], p.sink])
+        prev_side = side
+    return b.result()
+
+
+def polygon_costs(p: StPolygon) -> PolygonCosts:
+    """Entry-side costs of one polygon solved in isolation."""
+    cost_left = 1 + sum(p.sink_adj_right[:-1]) + sum(p.src_adj_left[1:])
+    cost_right = 1 + sum(p.sink_adj_left[:-1]) + sum(p.src_adj_right[1:])
+    return PolygonCosts(
+        cost_left=cost_left,
+        cost_right=cost_right,
+        edge_left=(p.right_chain[-1], p.left_chain[0]),
+        edge_right=(p.left_chain[-1], p.right_chain[0]),
+    )
+
+
+def crossed_edges(p: StPolygon, side: Side) -> tuple[DirectedEdge, ...]:
+    """Graph edges crossed by the polygon's completion edge, ordered
+    geometrically from its tail to its head.
+
+    Walking from the tail, the edge first leaves the nested pockets formed
+    by chords into the sink (nearest chord first), crosses the median, and
+    then pierces the fan of chords out of the source (outermost first);
+    within each group that is descending chain position.
+    """
+    if side == "L":
+        walked, src_adj = p.right_chain, p.src_adj_left
+        other, sink_adj = p.left_chain, p.sink_adj_right
+    else:
+        walked, src_adj = p.left_chain, p.src_adj_right
+        other, sink_adj = p.right_chain, p.sink_adj_left
+    out: list[DirectedEdge] = [
+        (x, p.sink)
+        for x, adj in zip(walked[-2::-1], sink_adj[-2::-1])
+        if adj
+    ]
+    out.append(p.median)
+    out.extend(
+        (p.source, x)
+        for x, adj in zip(other[:0:-1], src_adj[:0:-1])
+        if adj
+    )
+    return tuple(out)

@@ -16,20 +16,19 @@ limiting edge interact -- continuing on the chain of the shared sink
 merges two completion edges into one that additionally crosses the shared
 limiting edge (the "+1" junction case).
 
-Reconstruction replays the chosen sides, splicing paths exactly as the
-cost recurrences assume, and reports per completion edge the ordered list
-of graph edges it crosses.
-
-On a decomposition made by :func:`decompose` all of this runs on the
-kernel's columns (:mod:`hpccm.core`); the records these functions return
-are built from the columns on first read.
+Costs, DP and reconstruction all run on the columns of the decomposition's
+layout (:mod:`hpccm.core`); the records these functions return are built
+from the columns on first read.  Reconstruction replays the chosen sides,
+splicing paths exactly as the cost recurrences assume, and reports per
+completion edge the ordered list of graph edges it crosses.  The
+record-level reference builders the tests compare against live in
+:mod:`hpccm.oracle_gen`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -43,12 +42,7 @@ from .core import (
     dp_py,
     hop_crossings,
 )
-from .decomposition import (
-    Decomposition,
-    FreeVertex,
-    StPolygon,
-    decompose,
-)
+from .decomposition import Decomposition, decompose
 from .graph_model import DirectedEdge, GraphError, OTStDigraph, VertexId
 
 Side = str  # 'L' or 'R'
@@ -73,19 +67,19 @@ class DpTable(Deferred):
     from the left / right, and the predecessor side each came from.
 
     :func:`dp_solve` keeps its flat result in ``columns`` (cost_l, cost_r,
-    back_l, back_r with 0 = L, 1 = R) and builds the tuples on first read.
+    back_l, back_r with 0 = L, 1 = R), with the ``layout`` it was computed
+    on, and builds the tuples on first read.
     """
 
     cost_l: tuple[int, ...]
     cost_r: tuple[int, ...]
     back_l: tuple[Optional[Side], ...]
     back_r: tuple[Optional[Side], ...]
-    columns: Optional[tuple] = field(default=None, compare=False, repr=False)
+    columns: tuple = field(compare=False, repr=False)
+    layout: Layout = field(compare=False, repr=False)
 
     def _last(self) -> tuple[int, int]:
-        if self.columns is not None:
-            return int(self.columns[0][-1]), int(self.columns[1][-1])
-        return self.cost_l[-1], self.cost_r[-1]
+        return int(self.columns[0][-1]), int(self.columns[1][-1])
 
     @property
     def minimum(self) -> int:
@@ -105,21 +99,9 @@ class HpCompletionResult(Deferred):
     total_crossings: int
 
 
-def polygon_costs(p: StPolygon) -> PolygonCosts:
-    """Entry-side costs of one polygon solved in isolation."""
-    cost_left = 1 + sum(p.sink_adj_right[:-1]) + sum(p.src_adj_left[1:])
-    cost_right = 1 + sum(p.sink_adj_left[:-1]) + sum(p.src_adj_right[1:])
-    return PolygonCosts(
-        cost_left=cost_left,
-        cost_right=cost_right,
-        edge_left=(p.right_chain[-1], p.left_chain[0]),
-        edge_right=(p.left_chain[-1], p.right_chain[0]),
-    )
-
-
 class LayoutCosts(SequenceABC):
-    """:func:`all_costs` of a kernel-made decomposition: the costs stay in
-    the layout's columns and the PolygonCosts records are made on first
+    """:func:`all_costs` of a decomposition: the costs stay in the
+    layout's columns and the PolygonCosts records are made on first
     read."""
 
     __slots__ = ("layout", "_items")
@@ -166,41 +148,15 @@ class LayoutCosts(SequenceABC):
 
 def all_costs(d: Decomposition) -> Sequence[Optional[PolygonCosts]]:
     """Per-element costs; None for free vertices (their cost is 0)."""
-    if d.layout is not None:
-        return LayoutCosts(d.layout)
-    return tuple(
-        polygon_costs(el) if isinstance(el, StPolygon) else None
-        for el in d.elements
-    )
+    return LayoutCosts(d.layout)
 
 
-def crossed_edges(p: StPolygon, side: Side) -> tuple[DirectedEdge, ...]:
-    """Graph edges crossed by the polygon's completion edge, ordered
-    geometrically from its tail to its head.
-
-    Walking from the tail, the edge first leaves the nested pockets formed
-    by chords into the sink (nearest chord first), crosses the median, and
-    then pierces the fan of chords out of the source (outermost first);
-    within each group that is descending chain position.
-    """
-    if side == "L":
-        walked, src_adj = p.right_chain, p.src_adj_left
-        other, sink_adj = p.left_chain, p.sink_adj_right
-    else:
-        walked, src_adj = p.left_chain, p.src_adj_right
-        other, sink_adj = p.right_chain, p.sink_adj_left
-    out: list[DirectedEdge] = [
-        (x, p.sink)
-        for x, adj in zip(walked[-2::-1], sink_adj[-2::-1])
-        if adj
-    ]
-    out.append(p.median)
-    out.extend(
-        (p.source, x)
-        for x, adj in zip(other[:0:-1], src_adj[:0:-1])
-        if adj
-    )
-    return tuple(out)
+def _check_made_from(d: Decomposition, made: object, what: str) -> None:
+    """Reject costs or a DP table computed from another decomposition."""
+    if getattr(made, "layout", None) is not d.layout:
+        raise GraphError(
+            "foreign-input", f"{what} not computed from this decomposition"
+        )
 
 
 def dp_solve(
@@ -211,50 +167,21 @@ def dp_solve(
     Free vertices and polygons sharing at most one vertex take the best
     predecessor side unconditionally; a polygon sharing a limiting edge
     pays one extra crossing when the path keeps entering on the side of
-    the shared sink.  Ties prefer the left predecessor.
+    the shared sink.  Ties prefer the left predecessor.  ``costs`` must be
+    ``all_costs(d)``; costs of another decomposition raise
+    ``foreign-input``.
     """
     layout = d.layout
-    if layout is not None and isinstance(costs, LayoutCosts) and costs.layout is layout:
-        kinds = dp_kinds(layout)
-        if layout.np is not None:
-            cols = dp_np(layout.cost_l, layout.cost_r, kinds, layout.np)
-        else:
-            cols = dp_py(layout.cost_l, layout.cost_r, kinds)
-        return _dp_table(cols)
-    els = d.elements
-    cl: list[int] = []
-    cr: list[int] = []
-    kinds: list[int] = []
-    for i, el in enumerate(els):
-        c = costs[i]
-        kind = 1
-        if isinstance(el, FreeVertex):
-            cl.append(0)
-            cr.append(0)
-            kinds.append(kind)
-            continue
-        if c is None:
-            raise GraphError("internal", f"missing costs for element {i}")
-        cl.append(c.cost_left)
-        cr.append(c.cost_right)
-        if i and d.shared[i - 1] == 2:
-            prev = els[i - 1]
-            if not isinstance(prev, StPolygon):
-                raise GraphError(
-                    "inconsistent-decomposition",
-                    f"element {i} shares two vertices with a non-polygon",
-                )
-            if prev.sink_side not in ("L", "R"):
-                raise GraphError(
-                    "inconsistent-decomposition",
-                    f"junction sink {prev.sink} is not on a boundary chain",
-                )
-            kind = 2 if prev.sink_side == "L" else 3
-        kinds.append(kind)
-    return _dp_table(dp_py(cl, cr, kinds))
+    _check_made_from(d, costs, "costs")
+    kinds = dp_kinds(layout)
+    if layout.np is not None:
+        cols = dp_np(layout.cost_l, layout.cost_r, kinds, layout.np)
+    else:
+        cols = dp_py(layout.cost_l, layout.cost_r, kinds)
+    return _dp_table(cols, layout)
 
 
-def _dp_table(cols) -> DpTable:
+def _dp_table(cols, layout: Layout) -> DpTable:
     def fill() -> dict:
         cost_l, cost_r, back_l, back_r = (
             c if isinstance(c, list) else c.tolist() for c in cols
@@ -270,163 +197,7 @@ def _dp_table(cols) -> DpTable:
             "back_r": sides(back_r),
         }
 
-    return DpTable.deferred(fill, columns=cols)
-
-
-# ---------------------------------------------------------------------------
-# Path construction on records: the exhaustive oracle's, reconstruct()'s for
-# decompositions made from records, and the reference the kernel's path
-# construction (core.build_path) is tested against.
-
-
-class _Builder:
-    """Assembles the hamiltonian path as runs separated by completion hops.
-
-    A run is a maximal stretch of real graph edges.  Keeping runs separate
-    makes the limiting-edge junction rewrite an O(1) splice: it inserts
-    one run before the final one and replaces the last completion hop.
-    """
-
-    def __init__(self) -> None:
-        self.runs: list[list[VertexId]] = []
-        self.hops: list[Optional[tuple[DirectedEdge, tuple[DirectedEdge, ...]]]] = []
-
-    def glue(self, vertices: Sequence[VertexId]) -> None:
-        if not vertices:
-            return
-        if not self.runs:
-            self.runs.append(list(vertices))
-        else:
-            self.runs[-1].extend(vertices)
-
-    def hop(
-        self, ce: DirectedEdge, crossed: tuple[DirectedEdge, ...], run: Sequence[VertexId]
-    ) -> None:
-        if not self.runs or self.runs[-1][-1] != ce[0]:
-            raise GraphError("internal", f"completion edge {ce} detached from path")
-        self.hops.append((ce, crossed))
-        self.runs.append(list(run))
-        if run[0] != ce[1]:
-            raise GraphError("internal", f"completion edge {ce} detached from path")
-
-    def last(self) -> VertexId:
-        return self.runs[-1][-1]
-
-    def pop_last(self) -> VertexId:
-        return self.runs[-1].pop()
-
-    def last_hop(self) -> tuple[DirectedEdge, tuple[DirectedEdge, ...]]:
-        if not self.hops or self.hops[-1] is None:
-            raise GraphError("internal", "expected a completion hop at the junction")
-        return self.hops[-1]
-
-    def splice_before_last(
-        self,
-        run: Sequence[VertexId],
-        merged: tuple[DirectedEdge, tuple[DirectedEdge, ...]],
-    ) -> None:
-        self.runs.insert(len(self.runs) - 1, list(run))
-        self.hops[-1] = merged
-        self.hops.insert(len(self.hops) - 1, None)
-
-    def result(self) -> tuple[
-        tuple[VertexId, ...],
-        tuple[DirectedEdge, ...],
-        tuple[tuple[DirectedEdge, ...], ...],
-    ]:
-        path: list[VertexId] = []
-        for run in self.runs:
-            path.extend(run)
-        ces = tuple(h[0] for h in self.hops if h is not None)
-        crossings = tuple(h[1] for h in self.hops if h is not None)
-        return tuple(path), ces, crossings
-
-
-def _polygon_runs(p: StPolygon, side: Side) -> tuple[list[VertexId], list[VertexId]]:
-    """First and second run of the polygon's stand-alone path."""
-    if side == "L":
-        return [p.source, *p.right_chain], [*p.left_chain, p.sink]
-    return [p.source, *p.left_chain], [*p.right_chain, p.sink]
-
-
-def construct_path(
-    d: Decomposition,
-    costs: Sequence[Optional[PolygonCosts]],
-    sides: Sequence[Optional[Side]],
-) -> tuple[
-    tuple[VertexId, ...],
-    tuple[DirectedEdge, ...],
-    tuple[tuple[DirectedEdge, ...], ...],
-]:
-    """Build the full path for one choice of entry side per polygon.
-
-    Used with every side vector by the exhaustive oracle, and with
-    DP-optimal sides by reconstruct() on decompositions made from records.
-    """
-    b = _Builder()
-    prev_side: Optional[Side] = None
-    for i, el in enumerate(d.elements):
-        if isinstance(el, FreeVertex):
-            b.glue([el.vertex])
-            prev_side = None
-            continue
-        p = el
-        side = sides[i]
-        if side not in ("L", "R"):
-            raise GraphError("internal", f"missing side for polygon element {i}")
-        ce = costs[i].edge_left if side == "L" else costs[i].edge_right
-        crossed = crossed_edges(p, side)
-        shared = d.shared[i - 1] if i > 0 else 0
-        if shared <= 1:
-            first, second = _polygon_runs(p, side)
-            if shared == 1:
-                if b.last() != p.source:
-                    raise GraphError("internal", "shared source not at path end")
-                first = first[1:]
-            b.glue(first)
-            b.hop(ce, crossed, second)
-            prev_side = side
-            continue
-        # Junction over a shared limiting edge (source, t_prev): t_prev is
-        # the previous polygon's sink and the first vertex of one of this
-        # polygon's chains.
-        t_prev = p.lower_limit[1]
-        near_is_left = bool(p.left_chain) and p.left_chain[0] == t_prev
-        near, far = (
-            (p.left_chain, p.right_chain)
-            if near_is_left
-            else (p.right_chain, p.left_chain)
-        )
-        near_side: Side = "L" if near_is_left else "R"
-        if side != near_side:
-            # Continue up the shared sink's own chain; the far chain is
-            # reached by this polygon's plain completion edge.
-            if b.last() != t_prev:
-                raise GraphError("internal", "junction vertex not at path end")
-            b.glue(near[1:])
-            b.hop(ce, crossed, [*far, p.sink])
-        elif prev_side != near_side:
-            # The previous path reached t_prev from the other chain, so its
-            # last step was the limiting edge itself; reroute it through
-            # the far chain.
-            if b.pop_last() != t_prev or b.last() != p.source:
-                raise GraphError("internal", "limiting edge not at path end")
-            b.glue(far)
-            b.hop(ce, crossed, [t_prev, *near[1:], p.sink])
-        else:
-            # Both entries on the shared side: merge this polygon's
-            # completion edge with the previous one; the merged edge
-            # additionally crosses the shared limiting edge.
-            (old_ce, old_crossed) = b.last_hop()
-            if old_ce[0] != p.source:
-                raise GraphError("internal", "junction hop does not leave the source")
-            merged_ce = (far[-1], old_ce[1])
-            merged_crossed = crossed + (p.lower_limit,) + old_crossed
-            b.splice_before_last(list(far), (merged_ce, merged_crossed))
-            b.glue([*near[1:], p.sink])
-        prev_side = side
-    path, ces, crossings = b.result()
-    return path, ces, crossings
+    return DpTable.deferred(fill, columns=cols, layout=layout)
 
 
 def reconstruct(
@@ -434,53 +205,18 @@ def reconstruct(
     table: DpTable,
     costs: Optional[Sequence[Optional[PolygonCosts]]] = None,
 ) -> HpCompletionResult:
-    """Walk the DP backpointers and build the optimal completion."""
-    layout = d.layout
-    if (
-        layout is not None
-        and table.columns is not None
-        and len(table.columns[0]) == len(layout)
-        and (costs is None or isinstance(costs, LayoutCosts) and costs.layout is layout)
-    ):
-        return _reconstruct_layout(d, table)
-    n_el = len(d.elements)
-    sides: list[Optional[Side]] = [None] * n_el
-    cur: Optional[Side] = table.final_side if n_el else None
-    for i in range(n_el - 1, -1, -1):
-        sides[i] = cur
-        cur = table.back_l[i] if cur == "L" else table.back_r[i]
-    if costs is None:
-        costs = all_costs(d)
-    path, ces, crossings = construct_path(d, costs, sides)
-    total = sum(len(c) for c in crossings)
-    if n_el:
-        _check_total(total, table)
-    return HpCompletionResult(
-        path=path,
-        completion_edges=ces,
-        crossings=crossings,
-        total_crossings=total,
-    )
+    """Walk the DP backpointers and build the optimal completion.
 
-
-def _check_total(total: int, table: DpTable) -> None:
-    if total != table.minimum:
-        raise GraphError(
-            "internal",
-            f"reconstructed {total} crossings, dynamic program found "
-            f"{table.minimum}",
-        )
-
-
-def _reconstruct_layout(d: Decomposition, table: DpTable) -> HpCompletionResult:
-    """:func:`reconstruct` on the kernel's columns.
-
-    Sides, path, hops and each hop's crossed slot ranges are computed
-    here, and the total is the sum of the range lengths; on large
-    instances only the slicing of the ranges and the tuples wait for the
-    first read.
+    ``table`` (and ``costs``, if given) must come from ``d``; those of
+    another decomposition raise ``foreign-input``.  Sides, path, hops and
+    each hop's crossed slot ranges are computed here, and the total is the
+    sum of the range lengths; on large instances only the slicing of the
+    ranges and the tuples wait for the first read.
     """
     layout = d.layout
+    _check_made_from(d, table, "DP table")
+    if costs is not None:
+        _check_made_from(d, costs, "costs")
     np = layout.np
     cost_l, cost_r, back_l, back_r = table.columns
     if np is not None:
@@ -488,7 +224,12 @@ def _reconstruct_layout(d: Decomposition, table: DpTable) -> HpCompletionResult:
     sides = backtrack(back_l, back_r, 0 if cost_l[-1] <= cost_r[-1] else 1)
     pc = build_path(layout, sides)
     total = int(pc.counts.sum()) if np is not None else sum(pc.counts)
-    _check_total(total, table)
+    if total != table.minimum:
+        raise GraphError(
+            "internal",
+            f"reconstructed {total} crossings, dynamic program found "
+            f"{table.minimum}",
+        )
 
     def fill() -> dict:
         cyc = layout.arrays.cyc
@@ -646,42 +387,3 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
                 )
             seen[e] = ce
     return out
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive oracle over entry-side vectors (used by oracle_gen and tests)
-
-
-def min_crossings_by_enumeration(g: OTStDigraph, max_polygons: int = 20) -> int:
-    """Minimum crossings over all 2^(polygon count) entry-side vectors.
-
-    Each candidate path is built by the constructive rules and its
-    crossings are counted independently of both the DP recurrences and
-    the construction's own crossing lists, by testing which graph edges
-    interleave each completion edge on the boundary cycle.
-    """
-    d = decompose(g)
-    polys = [i for i, el in enumerate(d.elements) if isinstance(el, StPolygon)]
-    if len(polys) > max_polygons:
-        raise GraphError(
-            "too-many-polygons",
-            f"{len(polys)} polygons exceed the oracle limit {max_polygons}",
-        )
-    costs = all_costs(d)
-    cyc = g.cycle_pos
-    base_n = g.base.n
-    edges = sorted(g.base.edges)
-    best: Optional[int] = None
-    sides: list[Optional[Side]] = [None] * len(d.elements)
-    for bits in product("LR", repeat=len(polys)):
-        for idx, side in zip(polys, bits):
-            sides[idx] = side
-        _, ces, _ = construct_path(d, costs, sides)
-        total = 0
-        for ce in ces:
-            total += sum(1 for e in edges if interleaves(cyc, base_n, ce, e))
-        if best is None or total < best:
-            best = total
-    if best is None:  # no polygons: the decomposition is all free vertices
-        best = 0
-    return best

@@ -63,7 +63,7 @@ def test_check_triangle_hamiltonian(triangle_file, capsys):
 def test_validate(rhombus_file, capsys):
     assert run(["validate", rhombus_file]) == 0
     out = capsys.readouterr().out
-    assert "n=4 m=5" in out
+    assert out.splitlines()[0] == "n=4 m=5 interior-faces=2"
     assert "outerplanar-triangulated: yes" in out
     assert "left=[a] right=[b]" in out
 

@@ -26,7 +26,7 @@ from hpccm import (
     verify_solution,
 )
 from hpccm.decomposition import _decompose
-from hpccm.solver import construct_path
+from hpccm.oracle_gen import construct_path
 
 
 def _pipeline(ot, np):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpccm import (
+    EmbeddedDigraph,
     GenProfile,
     GraphError,
     Sidedness,
@@ -16,6 +17,7 @@ from hpccm import (
     random_ot,
     serialize_graph,
 )
+from hpccm.graph_model import _FORMAT_KEYS
 
 TRIANGLE_JSON = json.dumps(
     {
@@ -80,6 +82,58 @@ def test_syntax_error_reports_position():
     assert "line 1" in str(exc.value)
 
 
+def _triangle_json(edges=None, rotation=None) -> str:
+    data = json.loads(TRIANGLE_JSON)
+    if edges is not None:
+        data["edges"] = edges
+    data["rotation"].update(rotation or {})
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        pytest.param(_triangle_json(edges=5), "schema", id="edges-int"),
+        pytest.param(_triangle_json(rotation={"v": 7}), "schema", id="row-int"),
+        pytest.param(_triangle_json(rotation={"s": "vt"}), "schema", id="row-string"),
+        pytest.param(_triangle_json(rotation={"x": []}), "schema", id="unknown-key"),
+        pytest.param("[" * 10**5, "syntax", id="deep-nesting"),
+    ],
+)
+def test_malformed_input_is_a_graph_error(text, kind):
+    with pytest.raises(GraphError) as exc:
+        parse_graph(text)
+    assert exc.value.kind == kind
+
+
+_NAMES = st.sampled_from(["s", "v", "t", "x"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | _NAMES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_NAMES | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {
+            key: st.just(json.loads(TRIANGLE_JSON)[key]) | _JSON
+            for key in _FORMAT_KEYS
+        }
+    )
+)
+def test_parse_graph_any_values_give_graph_or_graph_error(data):
+    # Each key holds either the triangle's own value or any JSON value.
+    try:
+        g = parse_graph(json.dumps(data))
+    except GraphError:
+        return
+    assert isinstance(g, EmbeddedDigraph)
+
+
 def test_cycle_rejected():
     bad = json.dumps(
         {
@@ -102,6 +156,25 @@ def test_cycle_rejected():
     )
     with pytest.raises(GraphError):
         parse_graph(bad)
+
+
+def test_directed_cycle_rejected_as_cyclic():
+    # One source, one sink, and the cycle a -> b -> c -> a between them.
+    with pytest.raises(GraphError) as exc:
+        build_graph(
+            names=["s", "a", "b", "c", "t"],
+            source="s",
+            sink="t",
+            edges=[("s", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("b", "t")],
+            rotation={
+                "s": ["a"],
+                "a": ["s", "b", "c"],
+                "b": ["a", "c", "t"],
+                "c": ["a", "b"],
+                "t": ["b"],
+            },
+        )
+    assert exc.value.kind == "cyclic"
 
 
 def test_non_planar_rotation_rejected():

@@ -1,15 +1,18 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from hpccm import (
     GenProfile,
     GraphError,
     exhaustive_hamiltonian,
-    faces,
     find_rhombi,
     hamiltonian_path,
     random_ot,
 )
 from hpccm.graph_model import build_graph
+from tests.conftest import brute_is_median
 
 
 def test_rhombus_has_one_rhombus(rh):
@@ -114,15 +117,45 @@ class _CountingDict(dict):
         return super().__getitem__(key)
 
 
-class _InstrumentedFaces:
-    def __init__(self, fs):
-        self.walks = fs.walks
-        self.outer = fs.outer
-        self.dart_face = _CountingDict(fs.dart_face)
-
-
 def test_find_rhombi_constant_lookups_per_edge(f9):
-    # One O(1) test per edge: at most two face lookups per edge side.
-    fs = _InstrumentedFaces(faces(f9.base))
-    find_rhombi(f9.base, face_set=fs)
-    assert fs.dart_face.lookups <= 2 * f9.base.m
+    # One O(1) test per edge: three rotation-position lookups per side of
+    # an edge, plus one walk around the outer face.
+    g = replace(f9.base)  # a copy without cached properties
+    counting = tuple(_CountingDict(pos) for pos in f9.base._rot_pos)
+    g.__dict__["_rot_pos"] = counting
+    assert find_rhombi(g) == find_rhombi(f9.base)
+    assert sum(d.lookups for d in counting) <= 6 * g.m + g.n
+
+
+def _interior_vertex_graph():
+    """Outer cycle s-a-t-b with an interior vertex c joined to all four: a
+    triangulated st-digraph that is not outerplanar."""
+    return build_graph(
+        names=["s", "a", "b", "c", "t"],
+        source="s",
+        sink="t",
+        edges=[
+            ("s", "a"), ("s", "b"), ("s", "c"), ("a", "c"),
+            ("b", "c"), ("a", "t"), ("b", "t"), ("c", "t"),
+        ],
+        rotation={
+            "s": ["a", "c", "b"],
+            "a": ["t", "c", "s"],
+            "b": ["t", "s", "c"],
+            "c": ["t", "b", "s", "a"],
+            "t": ["b", "c", "a"],
+        },
+    )
+
+
+def test_non_outerplanar_rhombus_and_no_path():
+    g = _interior_vertex_graph()
+    ids = g.id_of
+    (r,) = find_rhombi(g)
+    assert r.median == (ids["s"], ids["c"])
+    assert (r.left_apex, r.right_apex) == (ids["a"], ids["b"])
+    # The definition: the medians are the edges with two distinct apexes.
+    bare = SimpleNamespace(base=g)
+    assert [e for e in sorted(g.edges) if brute_is_median(bare, e)] == [r.median]
+    assert hamiltonian_path(g) is None
+    assert exhaustive_hamiltonian(g) is False

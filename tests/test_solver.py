@@ -1,8 +1,6 @@
 import pytest
 
 from hpccm import (
-    Decomposition,
-    FreeVertex,
     GraphError,
     StPolygon,
     all_costs,
@@ -118,7 +116,7 @@ def test_dp_junction_penalty():
     # Forcing both entries onto the shared side must cost one extra
     # crossing: on a 2-polygon stack the four side vectors split 3/2.
     from hpccm import polygon_stack
-    from hpccm.solver import construct_path
+    from hpccm.oracle_gen import construct_path
 
     ot = polygon_stack(2)
     d = decompose(ot)
@@ -139,14 +137,32 @@ def test_dp_junction_penalty():
     assert totals[("L", "R")] == totals[("R", "L")] == totals[("R", "R")] == 2
 
 
-def test_dp_inconsistent_decomposition(rh):
-    d = decompose(rh)
-    fake = Decomposition(
-        elements=(FreeVertex(0), d.elements[0]), shared=(2,)
-    )
+def test_dp_inconsistent_decomposition(stack3):
+    # A shared-edge junction whose sink is t cannot occur; the DP's join
+    # classification (core.dp_kinds) rejects a layout claiming one.
+    d = decompose(stack3)
+    layout = d.layout
+    junction = list(layout.shared).index(2)
+    layout.snk[junction] = layout.arrays.k + 1
     with pytest.raises(GraphError) as exc:
-        dp_solve(fake, (None, polygon_costs(d.elements[0])))
+        dp_solve(d, all_costs(d))
     assert exc.value.kind == "inconsistent-decomposition"
+
+
+def test_foreign_costs_and_table_rejected(stack3):
+    d, other = decompose(stack3), decompose(stack3)
+    costs = all_costs(d)
+    table = dp_solve(d, costs)
+    calls = (
+        lambda: dp_solve(other, costs),
+        lambda: dp_solve(d, tuple(costs)),
+        lambda: reconstruct(other, table),
+        lambda: reconstruct(d, table, all_costs(other)),
+    )
+    for call in calls:
+        with pytest.raises(GraphError) as exc:
+            call()
+        assert exc.value.kind == "foreign-input"
 
 
 def test_reconstruct_rhombus(rh):
