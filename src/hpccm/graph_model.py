@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 VertexId = int
 DirectedEdge = tuple[VertexId, VertexId]
@@ -315,6 +315,24 @@ def outer_face_start(g: EmbeddedDigraph) -> Dart:
     return (g.s, g.rotation[g.s][-1])
 
 
+def _face_starts(g: EmbeddedDigraph, darts: Iterable[Dart]) -> Iterator[Dart]:
+    """The darts of ``darts`` that start a face walk not met before.  A
+    walk marks each dart it passes in a flag per rotation slot.  O(m)."""
+    rotation, rot_pos = g.rotation, g._rot_pos
+    off = list(accumulate(map(len, rotation), initial=0))
+    seen = bytearray(off[-1])
+    for start in darts:
+        u, v = start
+        slot = off[u] + rot_pos[u][v]
+        if seen[slot]:
+            continue
+        yield start
+        while not seen[slot]:
+            seen[slot] = 1
+            j = (rot_pos[v][u] - 1) % len(rotation[v])
+            u, v, slot = v, rotation[v][j], off[v] + j
+
+
 def faces(g: EmbeddedDigraph) -> FaceSet:
     """All face boundary walks traced from the rotation system.
 
@@ -322,20 +340,11 @@ def faces(g: EmbeddedDigraph) -> FaceSet:
     face is the one containing the dart fixed by the source's rotation
     array convention.
     """
-    seen: set[Dart] = set()
-    walks: list[tuple[Dart, ...]] = []
-    outer_start = outer_face_start(g)
-    outer = -1
     edges = sorted(g.edges)
     darts = edges + [(v, u) for (u, v) in edges]
-    for d0 in darts:
-        if d0 in seen:
-            continue
-        walk = trace_face(g, d0)
-        seen.update(walk)
-        if outer_start in walk:
-            outer = len(walks)
-        walks.append(walk)
+    walks = [trace_face(g, d0) for d0 in _face_starts(g, darts)]
+    outer_start = outer_face_start(g)
+    outer = next((i for i, w in enumerate(walks) if outer_start in w), -1)
     return FaceSet(walks=tuple(walks), outer=outer)
 
 
@@ -409,15 +418,15 @@ def validate_embedded(g: EmbeddedDigraph) -> None:
         raise GraphError("cyclic", "graph contains a directed cycle")
     for v in range(n):
         _check_consecutive_blocks(g, v)
-    f = faces(g)
-    if n - g.m + len(f.walks) != 2:
+    darts = ((u, v) for u, rot in enumerate(g.rotation) for v in rot)
+    count = sum(1 for _ in _face_starts(g, darts))
+    if n - g.m + count != 2:
         raise GraphError(
             "non-planar-rotation",
             f"rotation system is not a planar embedding: V-E+F = "
-            f"{n}-{g.m}+{len(f.walks)} != 2",
+            f"{n}-{g.m}+{count} != 2",
         )
-    outer_vertices = {u for (u, _) in f.walks[f.outer]}
-    if g.t not in outer_vertices:
+    if all(u != g.t for (u, _) in trace_face(g, outer_face_start(g))):
         raise GraphError(
             "sink-not-on-outer-face",
             f"sink {g.names[g.t]} does not lie on the outer face",

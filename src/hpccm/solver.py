@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -43,7 +44,7 @@ from .core import (
     hop_crossings,
 )
 from .decomposition import Decomposition, decompose
-from .graph_model import DirectedEdge, GraphError, OTStDigraph, VertexId
+from .graph_model import DirectedEdge, GraphError, OtArrays, OTStDigraph, VertexId
 
 Side = str  # 'L' or 'R'
 
@@ -291,21 +292,41 @@ def interleaves(
     return ((cyc[x] - qa) % n < rb) != ((cyc[y] - qa) % n < rb)
 
 
-def _crossing_sort_key(cyc: Sequence[int], n: int, ce: DirectedEdge):
-    a, b = ce
-    qa = cyc[a]
-    rb = (cyc[b] - qa) % n
-
-    def key(e: DirectedEdge) -> tuple[int, int]:
-        rx = (cyc[e[0]] - qa) % n
-        ry = (cyc[e[1]] - qa) % n
-        if rx > ry:
-            rx, ry = ry, rx
-        # Separation order: forward-arc endpoint outward from the tail,
-        # then backward-arc endpoint outward from the tail.
-        return (rx, n - ry)
-
-    return key
+def _inside_counts(a: OtArrays, spans: list[tuple[int, int]]) -> list[int]:
+    """Per closed position interval ``(lo, hi)``, the number of edges with
+    both endpoints in it.  One sweep up the rows: an edge's lower end goes
+    into a Fenwick tree over the distinct ``lo`` values when its upper row
+    is read, and an interval is answered once its ``hi`` row is read.
+    O(n + (m + len(spans)) log len(spans))."""
+    off, nbr = a.off, a.nbr
+    los = sorted({lo for lo, _ in spans})
+    size = len(los)
+    bucket = [0] * a.n  # bucket[x]: how many of the lo values are <= x
+    for lo in los:
+        bucket[lo] = 1
+    bucket = list(accumulate(bucket))
+    tree = [0] * (size + 1)
+    counts = [0] * len(spans)
+    added = 0
+    row = min(los, default=0)
+    for i in sorted(range(len(spans)), key=lambda i: spans[i][1]):
+        lo, hi = spans[i]
+        while row <= hi:
+            for q in nbr[off[row] : off[row + 1]]:
+                if q < row:
+                    j = bucket[q]
+                    if j:  # an edge below every lo is inside no interval
+                        added += 1
+                        while j <= size:
+                            tree[j] += 1
+                            j += j & -j
+            row += 1
+        below, j = 0, bucket[lo] - 1
+        while j > 0:
+            below += tree[j]
+            j -= j & -j
+        counts[i] = added - below
+    return counts
 
 
 def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
@@ -317,6 +338,13 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     list matches exactly the graph edges forced to cross its completion
     edge, in geometric order; and no graph edge is crossed twice.
     Violations are returned as messages, not raised.
+
+    The edges forced to cross (a, b) join the open boundary arc A from a
+    to b to the rest of the cycle, not to a or b.  They are counted as A's
+    degree sum less twice the edges inside A less those to a and b, and a
+    list is right when its entries are distinct, forced and as many.
+    O(m log n + C log C) for C listed crossings (a wrong list is compared
+    with every edge, to name the difference).
     """
     base = g.base
     out: list[str] = []
@@ -350,26 +378,44 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     if r.total_crossings != sum(len(c) for c in r.crossings):
         out.append("total_crossings does not equal the sum of list lengths")
     cyc = g.cycle_pos
+    off, nbr = g.arrays.off, g.arrays.nbr
+    # A as a position interval, or its closed complement if A wraps.
+    spans = [
+        (cyc[a] + 1, cyc[b] - 1) if cyc[a] < cyc[b] else (cyc[b], cyc[a])
+        for a, b in expected_completion
+    ]
+    inside = _inside_counts(g.arrays, spans)
     seen: dict[DirectedEdge, DirectedEdge] = {}
-    for ce, lst in zip(r.completion_edges, r.crossings):
-        forced = {
-            e for e in base.edges if interleaves(cyc, n, ce, e)
-        }
-        if set(lst) != forced:
-            missing = forced - set(lst)
-            extra = set(lst) - forced
+    for ce, lst, (lo, hi), ins in zip(
+        expected_completion, r.crossings, spans, inside
+    ):
+        pa, pb = cyc[ce[0]], cyc[ce[1]]
+        rb = (pb - pa) % n
+        forced = off[hi + 1] - off[lo] - 2 * ins
+        for q in nbr[off[pa] : off[pa + 1]] + nbr[off[pb] : off[pb + 1]]:
+            if 0 < (q - pa) % n < rb:  # an edge between A and {a, b}
+                forced -= 1
+        listed = set(lst)
+        if len(listed) != forced or not all(
+            e in base.edges and interleaves(cyc, n, ce, e) for e in listed
+        ):
+            forced_set = {e for e in base.edges if interleaves(cyc, n, ce, e)}
+            missing = forced_set - listed
+            extra = listed - forced_set
             out.append(
                 f"completion edge {base.name_edge(ce)} crossing set mismatch"
                 + (f"; missing {sorted(missing)}" if missing else "")
                 + (f"; extra {sorted(extra)}" if extra else "")
             )
             continue
-        if len(set(lst)) != len(lst):
+        if len(listed) != len(lst):
             out.append(
                 f"completion edge {base.name_edge(ce)} crosses an edge twice"
             )
-        key = _crossing_sort_key(cyc, n, ce)
-        if list(lst) != sorted(lst, key=key):
+        # Separation order: by the end in A going on from a, then by the
+        # end in B going back from a.
+        ends = [sorted(((cyc[x] - pa) % n, (cyc[y] - pa) % n)) for x, y in lst]
+        if ends != sorted(ends, key=lambda e: (e[0], -e[1])):
             out.append(
                 f"completion edge {base.name_edge(ce)} crossings out of "
                 f"geometric order"

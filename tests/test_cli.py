@@ -149,3 +149,24 @@ def test_stdout_byte_stable(rhombus_file, capsys):
     first = capsys.readouterr().out
     run(["solve", rhombus_file])
     assert capsys.readouterr().out == first
+
+
+def test_embed_reports_invalid_solver_answer_as_internal(f9_file, capsys, monkeypatch):
+    # embed and render leave the check to to_book_embedding; an answer it
+    # rejects is still a verification failure, exit status 2.
+    from dataclasses import replace
+
+    import hpccm.solver
+
+    solve = hpccm.solver.solve
+
+    def dropping(ot, check=True):
+        r = solve(ot, check=check)
+        return replace(r, crossings=(r.crossings[0][1:],), total_crossings=4)
+
+    monkeypatch.setattr(hpccm.solver, "solve", dropping)
+    for argv in (["embed", f9_file], ["render", f9_file]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [invalid-solution]: completion edge ")
+        assert "crossing set mismatch; missing" in err

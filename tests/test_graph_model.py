@@ -203,6 +203,29 @@ def test_non_planar_rotation_rejected():
     assert exc.value.kind in ("non-planar-rotation", "non-consecutive-in-out")
 
 
+def test_sink_inside_rejected():
+    # Outer triangle s, a, b with t inside, joined to all three: planar,
+    # acyclic, one source and one sink, but t is not on the outer face.
+    g = {
+        "vertices": ["s", "a", "b", "t"],
+        "source": "s",
+        "sink": "t",
+        "edges": [
+            ["s", "a"], ["s", "b"], ["s", "t"], ["a", "b"], ["a", "t"], ["b", "t"],
+        ],
+        "rotation": {
+            "s": ["a", "t", "b"],
+            "a": ["b", "t", "s"],
+            "b": ["s", "t", "a"],
+            "t": ["b", "s", "a"],
+        },
+    }
+    with pytest.raises(GraphError) as exc:
+        parse_graph(json.dumps(g))
+    assert exc.value.kind == "sink-not-on-outer-face"
+    assert str(exc.value) == "sink t does not lie on the outer face"
+
+
 def test_non_consecutive_in_out_rejected():
     # At vertex x the rotation interleaves incoming (s, a) and outgoing
     # (b, t) edges.
