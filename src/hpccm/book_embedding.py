@@ -8,20 +8,23 @@ completion edge becomes a spine crossing in the gap between the
 completion edge's endpoints.  The reverse direction reads the completion
 edges off consecutive spine pairs that are not graph edges.
 
-Sides are resolved against the rotation system: at a path vertex the
-edges lying clockwise strictly between the outgoing and the incoming path
-step go right, the rest left.  When a path step is a completion edge its
-rotational slot is the corner, at that vertex, of the triangle flanking
-the first (at the tail) or last (at the head) edge it crosses, read off
-the rotations; the source's and sink's missing path steps are the
-outer-face gaps of their rotations.
+Sides are read off boundary-cycle positions.  Every vertex lies on the
+outer boundary cycle, so the cycle can be drawn convex with each
+completion edge a straight chord; such a chord crosses exactly the edges
+whose endpoints interleave its own around the cycle, the crossings that
+:func:`~hpccm.solver.verify_solution` has just checked.  In that drawing
+an edge (v, w) leaves v on the right of the path exactly when w's offset
+(clockwise around the cycle from v) lies strictly between the offsets of
+v's next and previous path vertices.  The source has no incoming and the
+sink no outgoing path step; a missing step sits at offset 0, v's own
+position, which faces the outer face.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Union
+from typing import Union
 
 from .graph_model import (
     DirectedEdge,
@@ -29,7 +32,6 @@ from .graph_model import (
     GraphError,
     OTStDigraph,
     VertexId,
-    triangle_apex,
 )
 from .solver import HpCompletionResult, verify_solution
 
@@ -67,31 +69,6 @@ class BookEmbedding:
     crossings: tuple[SpineCrossing, ...]
 
 
-def _corner_slot(g: EmbeddedDigraph, v: VertexId, crossed: DirectedEdge) -> float:
-    """Rotational position (index + .5) at ``v`` of a curve leaving into
-    the face that flanks ``crossed`` and has ``v`` on its boundary: the
-    triangle (x, y, v) on one side of the chord ``crossed`` = (x, y)."""
-    x, y = crossed
-    if v not in (triangle_apex(g, x, y), triangle_apex(g, y, x)):
-        raise GraphError(
-            "internal", f"no face flanking {crossed} touches vertex {v}"
-        )
-    pos = g._rot_pos[v]
-    p, q = sorted((pos[x], pos[y]))
-    deg = len(g.rotation[v])
-    if q == p + 1:
-        return p + 0.5
-    if p == 0 and q == deg - 1:
-        return q + 0.5
-    raise GraphError(
-        "internal", f"face corner at {g.names[v]} is not a rotation wedge"
-    )
-
-
-def _cw_between(out_pos: float, in_pos: float, q: float, deg: int) -> bool:
-    return 0 < (q - out_pos) % deg < (in_pos - out_pos) % deg
-
-
 def to_book_embedding(g: OTStDigraph, r: HpCompletionResult) -> BookEmbedding:
     """Book embedding with the completion's path as spine order.
 
@@ -114,40 +91,21 @@ def to_book_embedding(g: OTStDigraph, r: HpCompletionResult) -> BookEmbedding:
         for j, e in enumerate(lst):
             crossing_of[e] = SpineCrossing(edge=e, gap=gap, rank_in_gap=j)
 
-    pos = base._rot_pos
-    out_pos: list[Optional[float]] = [None] * n
-    in_pos: list[Optional[float]] = [None] * n
-    crossings_by_ce = dict(zip(r.completion_edges, r.crossings))
+    # Offsets, clockwise around the boundary cycle from v, of v's next
+    # and previous path vertices; a missing step (at s and t) sits at v's
+    # own position, in the outer face.
+    cycle_pos = g.cycle_pos
+    out_off = [0] * n
+    in_off = [0] * n
     for a, b in zip(path, path[1:]):
-        if (a, b) in base.edges:
-            out_pos[a] = float(pos[a][b])
-            in_pos[b] = float(pos[b][a])
-        else:
-            lst = crossings_by_ce[(a, b)]
-            out_pos[a] = _corner_slot(base, a, lst[0])
-            in_pos[b] = _corner_slot(base, b, lst[-1])
-    in_pos[base.s] = len(base.rotation[base.s]) - 0.5
-    # The sink's outgoing step is the outer-face gap between the tops of
-    # the two boundary chains.
-    l_top = g.left[-1] if g.left else base.s
-    r_top = g.right[-1] if g.right else base.s
-    rot_t = base.rotation[base.t]
-    deg_t = len(rot_t)
-    pl, pr = pos[base.t][l_top], pos[base.t][r_top]
-    if (pl + 1) % deg_t == pr:
-        out_pos[base.t] = pl + 0.5
-    elif (pr + 1) % deg_t == pl:
-        out_pos[base.t] = pr + 0.5
-    else:
-        raise GraphError("internal", "chain tops not adjacent at the sink")
+        d = (cycle_pos[b] - cycle_pos[a]) % n
+        out_off[a] = d
+        in_off[b] = n - d
 
     def side_at(v: VertexId, w: VertexId) -> str:
-        deg = len(base.rotation[v])
-        return (
-            "R"
-            if _cw_between(out_pos[v], in_pos[v], float(pos[v][w]), deg)
-            else "L"
-        )
+        o = out_off[v]
+        q = (cycle_pos[w] - cycle_pos[v] - o) % n
+        return "R" if 0 < q < (in_off[v] - o) % n else "L"
 
     assignment: dict[DirectedEdge, Placement] = {}
     for e in sorted(base.edges):

@@ -21,6 +21,7 @@ into the records below.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -57,7 +58,6 @@ class StPolygon(NamedTuple):
     right_chain: tuple[VertexId, ...]
     lower_limit: Optional[DirectedEdge]
     upper_limit: Optional[DirectedEdge]
-    sink_side: str  # side of the sink on the graph's global chains: L, R or T
     src_adj_left: tuple[bool, ...]
     src_adj_right: tuple[bool, ...]
     sink_adj_left: tuple[bool, ...]
@@ -100,7 +100,7 @@ def _polygon_record(g: OTStDigraph, cols: Sequence[int]) -> StPolygon:
     """The StPolygon of one layout entry (columns ``src`` to ``up``)."""
     u, v, lo_l, hi_l, lo_r, hi_r, low, up = cols
     a = g.arrays
-    n, k, cyc = a.n, a.k, a.cyc
+    n, cyc = a.n, a.cyc
     edges = g.base.edges
     su, sv = cyc[u], cyc[v]
     left = tuple(cyc[lo_l : hi_l + 1])
@@ -113,7 +113,6 @@ def _polygon_record(g: OTStDigraph, cols: Sequence[int]) -> StPolygon:
         right_chain=right,
         lower_limit=(su, cyc[low]) if low >= 0 else None,
         upper_limit=(cyc[up], sv) if up >= 0 else None,
-        sink_side="T" if v == k + 1 else ("L" if v <= k else "R"),
         src_adj_left=tuple((su, x) in edges for x in left),
         src_adj_right=tuple((su, x) in edges for x in right),
         sink_adj_left=tuple((x, sv) in edges for x in left),
@@ -122,20 +121,21 @@ def _polygon_record(g: OTStDigraph, cols: Sequence[int]) -> StPolygon:
 
 
 def _position_of_edge(g: OTStDigraph, e: DirectedEdge) -> tuple[int, int]:
-    """Tail position and rotation slot of a graph edge.
+    """Tail position and CSR slot of a graph edge.
 
-    Row p of the arrays is the tail's rotation shifted to start at its
-    cycle successor, so the slot follows from the rotation positions of the
-    head and of that successor: O(1) once the cached positions exist.
+    Row p of the arrays lists the neighbours by increasing offset
+    (q - p) mod n around the boundary cycle, so one binary search over the
+    row finds the head: O(log deg).
     """
     if e not in g.base.edges:
         raise GraphError("unknown-edge", f"edge {e} is not in the graph")
     a = g.arrays
-    u = g.cycle_pos[e[0]]
-    rot_pos = g.base._rot_pos[e[0]]
-    successor = a.cyc[u + 1 if u + 1 < a.n else 0]
-    shift = rot_pos[e[1]] - rot_pos[successor]
-    return u, a.off[u] + shift % (a.off[u + 1] - a.off[u])
+    n = a.n
+    u, v = g.cycle_pos[e[0]], g.cycle_pos[e[1]]
+    i = bisect_left(
+        a.nbr, (v - u) % n, a.off[u], a.off[u + 1], key=lambda q: (q - u) % n
+    )
+    return u, i
 
 
 def is_median(g: OTStDigraph, e: DirectedEdge) -> bool:
@@ -143,8 +143,7 @@ def is_median(g: OTStDigraph, e: DirectedEdge) -> bool:
 
     True exactly when both faces flanking ``e`` are interior triangles
     whose third vertex w carries the transitive orientation u->w->v.
-    O(1) per call on the instance's positional arrays (after an O(m)
-    setup on the first call).
+    O(log deg) per call on the instance's positional arrays.
     """
     u, i = _position_of_edge(g, e)
     return is_median_slot(g.arrays, i, u)

@@ -81,16 +81,6 @@ class EmbeddedDigraph:
     def _rot_pos(self) -> tuple[dict[VertexId, int], ...]:
         return tuple({w: i for i, w in enumerate(rot)} for rot in self.rotation)
 
-    def cw_pred(self, v: VertexId, u: VertexId) -> VertexId:
-        """Neighbour immediately before ``u`` in the clockwise order at ``v``."""
-        rot = self.rotation[v]
-        return rot[self._rot_pos[v][u] - 1]
-
-    def next_dart(self, dart: Dart) -> Dart:
-        """Following dart on the boundary of the face right of ``dart``."""
-        u, v = dart
-        return (v, self.cw_pred(v, u))
-
     def name_edge(self, e: DirectedEdge) -> str:
         return f"{self.names[e[0]]}->{self.names[e[1]]}"
 
@@ -194,28 +184,6 @@ class OTStDigraph:
         return self.base.n
 
     @cached_property
-    def side(self) -> tuple[str, ...]:
-        """'L', 'R', 'S' or 'T' per vertex."""
-        tags = [""] * self.base.n
-        tags[self.base.s] = "S"
-        tags[self.base.t] = "T"
-        for v in self.left:
-            tags[v] = "L"
-        for v in self.right:
-            tags[v] = "R"
-        return tuple(tags)
-
-    @cached_property
-    def chain_pos(self) -> tuple[int, ...]:
-        """1-based position within the vertex's own chain (0 for s and t)."""
-        pos = [0] * self.base.n
-        for i, v in enumerate(self.left, start=1):
-            pos[v] = i
-        for j, v in enumerate(self.right, start=1):
-            pos[v] = j
-        return tuple(pos)
-
-    @cached_property
     def cycle_pos(self) -> tuple[int, ...]:
         """Position on the outer boundary cycle: s, left chain, t, reversed
         right chain."""
@@ -274,8 +242,9 @@ def _arrays_from_rotation(g: OTStDigraph) -> OtArrays:
 
 
 def trace_face(g: EmbeddedDigraph, start: Dart) -> tuple[Dart, ...]:
-    """Boundary walk of the face lying to the right of ``start``
-    (:meth:`EmbeddedDigraph.next_dart` repeated)."""
+    """Boundary walk of the face lying to the right of ``start``: each
+    step leaves dart (u, v) by (v, w), w the neighbour just before u in
+    v's clockwise rotation."""
     rotation, rot_pos = g.rotation, g._rot_pos
     walk = [start]
     u, v = start
@@ -288,8 +257,9 @@ def trace_face(g: EmbeddedDigraph, start: Dart) -> tuple[Dart, ...]:
 
 def triangle_apex(g: EmbeddedDigraph, u: VertexId, v: VertexId) -> Optional[VertexId]:
     """Third vertex w of the face right of dart (u, v) if that face is a
-    triangle, else None: w = cw_pred(v, u), and two more steps of
-    :meth:`EmbeddedDigraph.next_dart` must lead back to (u, v).  O(1)."""
+    triangle, else None: w is the neighbour just before u in v's clockwise
+    rotation, and two more such steps (:func:`trace_face`) must lead back
+    to (u, v).  O(1)."""
     rotation, rot_pos = g.rotation, g._rot_pos
     w = rotation[v][rot_pos[v][u] - 1]
     if rotation[w][rot_pos[w][v] - 1] == u and rotation[u][rot_pos[u][w] - 1] == v:
@@ -615,17 +585,16 @@ def edge_sidedness(g: OTStDigraph, e: DirectedEdge) -> Sidedness:
     """
     if e not in g.base.edges:
         raise GraphError("unknown-edge", f"edge {e} is not in the graph")
-    u, v = e
-    su, sv = g.side[u], g.side[v]
-    if su in "ST" and sv in "ST":
-        return Sidedness.ONE_SIDED_LEFT
-    if su in "ST":
-        return Sidedness.ONE_SIDED_LEFT if sv == "L" else Sidedness.ONE_SIDED_RIGHT
-    if sv in "ST":
-        return Sidedness.ONE_SIDED_LEFT if su == "L" else Sidedness.ONE_SIDED_RIGHT
-    if su == sv:
-        return Sidedness.ONE_SIDED_LEFT if su == "L" else Sidedness.ONE_SIDED_RIGHT
-    return Sidedness.TWO_SIDED
+    # Cycle positions 1..k are the left chain and k + 2.. the right one;
+    # s (0) and t (k + 1) lie on neither.
+    k, cycle_pos = g.arrays.k, g.cycle_pos
+    ends = (cycle_pos[e[0]], cycle_pos[e[1]])
+    on_left = {p <= k for p in ends if p not in (0, k + 1)}
+    if len(on_left) == 2:
+        return Sidedness.TWO_SIDED
+    if on_left == {False}:
+        return Sidedness.ONE_SIDED_RIGHT
+    return Sidedness.ONE_SIDED_LEFT
 
 
 def build_graph(

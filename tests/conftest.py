@@ -166,18 +166,20 @@ def all_polygons_with_median(g: OTStDigraph, e) -> list[tuple]:
     u, v = e
     base = g.base
     edges = base.edges
-    side, pos = g.side, g.chain_pos
-    k, m = len(g.left), len(g.right)
+    n, k, m = base.n, len(g.left), len(g.right)
+    # Cycle position p is left-chain vertex p for 1 <= p <= k and
+    # right-chain vertex n - p for p > k + 1.
+    pu, pv = g.cycle_pos[u], g.cycle_pos[v]
 
     def span_options(chain, lo_min, hi_max):
         for lo in range(lo_min, hi_max + 1):
             for hi in range(lo, hi_max + 1):
                 yield chain[lo - 1 : hi]
 
-    lo_l = pos[u] + 1 if side[u] == "L" else 1
-    lo_r = pos[u] + 1 if side[u] == "R" else 1
-    hi_l = pos[v] - 1 if side[v] == "L" else k
-    hi_r = pos[v] - 1 if side[v] == "R" else m
+    lo_l = pu + 1 if 0 < pu <= k else 1
+    lo_r = n - pu + 1 if pu > k + 1 else 1
+    hi_l = pv - 1 if 0 < pv <= k else k
+    hi_r = n - pv - 1 if pv > k + 1 else m
     found = []
     for left in span_options(g.left, lo_l, hi_l):
         for right in span_options(g.right, lo_r, hi_r):

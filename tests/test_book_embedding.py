@@ -6,9 +6,12 @@ import pytest
 from hpccm import (
     BookEmbedding,
     GraphError,
+    OTStDigraph,
     PageArc,
     SplitArc,
     from_book_embedding,
+    is_median,
+    maximal_polygon,
     render_svg,
     render_text,
     solve,
@@ -69,6 +72,32 @@ def test_upwardness_is_topological_order(corpus):
         b = to_book_embedding(ot, solve(ot))
         rank = {v: i for i, v in enumerate(b.spine)}
         assert all(rank[u] < rank[v] for (u, v) in ot.base.edges)
+
+
+class _Unreadable(tuple):
+    """A table that fails on any read."""
+
+    def __getitem__(self, key):
+        raise AssertionError("rotation read after classification")
+
+    def __iter__(self):
+        raise AssertionError("rotation read after classification")
+
+
+def test_ot_layers_read_no_rotations(corpus, pfp, stack3, f9):
+    # After classify_ot the cycle positions are the only geometry: the
+    # book embedding and the median tests give the same answers on a copy
+    # whose rotations cannot be read.
+    for ot in [*corpus[:40], pfp, stack3, f9]:
+        base = replace(ot.base, rotation=_Unreadable())
+        base.__dict__["_rot_pos"] = _Unreadable()
+        blind = OTStDigraph(base=base, left=ot.left, right=ot.right, arrays=ot.arrays)
+        r = solve(ot)
+        assert to_book_embedding(blind, r) == to_book_embedding(ot, r)
+        for e in sorted(ot.base.edges):
+            assert is_median(blind, e) == is_median(ot, e)
+            if is_median(ot, e):
+                assert maximal_polygon(blind, e) == maximal_polygon(ot, e)
 
 
 def test_validate_rejects_page_flip(rh):

@@ -16,7 +16,6 @@ from hpccm import (
     classify_ot,
     decompose,
     dp_solve,
-    polygon_costs,
     polygon_stack,
     random_ot,
     parse_graph,
@@ -26,7 +25,7 @@ from hpccm import (
     verify_solution,
 )
 from hpccm.decomposition import _decompose
-from hpccm.oracle_gen import construct_path
+from hpccm.oracle_gen import construct_path, polygon_costs
 
 
 def _pipeline(ot, np):

@@ -298,9 +298,13 @@ def test_st_polygon_interior_face_count(f9):
     assert len(fs.interior) == f9.base.n - 2
 
 
-def test_edge_sidedness(pfp):
+def test_edge_sidedness(pfp, corpus):
     names = pfp.base.names
     ids = {n: i for i, n in enumerate(names)}
+    for a, b in (("r1", "r2"), ("s", "r1"), ("r3", "t")):
+        assert (
+            edge_sidedness(pfp, (ids[a], ids[b])) is Sidedness.ONE_SIDED_RIGHT
+        )
     assert (
         edge_sidedness(pfp, (ids["l1"], ids["l2"]))
         is Sidedness.ONE_SIDED_LEFT
@@ -316,6 +320,27 @@ def test_edge_sidedness(pfp):
     )
     with pytest.raises(GraphError):
         edge_sidedness(pfp, (ids["l1"], ids["r3"]))
+    # The tag read off the chains: the side of the endpoints that lie on
+    # one, two-sided when they lie on both.
+    one_chain = [
+        random_ot(GenProfile(n_left=k, n_right=12 - k, polygon_bias=0.5, seed=3))
+        for k in (0, 12)
+    ]
+    seen = set()
+    for ot in [*corpus, *one_chain]:
+        side = {**{v: "L" for v in ot.left}, **{v: "R" for v in ot.right}}
+        for (u, v) in ot.base.edges:
+            chains = {side[x] for x in (u, v) if x in side}
+            expected = (
+                Sidedness.TWO_SIDED
+                if len(chains) == 2
+                else Sidedness.ONE_SIDED_RIGHT
+                if chains == {"R"}
+                else Sidedness.ONE_SIDED_LEFT
+            )
+            assert edge_sidedness(ot, (u, v)) is expected
+            seen.add(expected)
+    assert seen == set(Sidedness)
 
 
 def test_median_edge_sidedness_convention(rh):

@@ -4,15 +4,14 @@ from hpccm import (
     GraphError,
     StPolygon,
     all_costs,
-    crossed_edges,
     decompose,
     dp_solve,
     exhaustive_min_crossings,
-    polygon_costs,
     reconstruct,
     solve,
     verify_solution,
 )
+from hpccm.oracle_gen import crossed_edges, polygon_costs
 from hpccm.solver import interleaves
 from tests.conftest import fan_polygon, permutation_oracle
 
@@ -61,7 +60,6 @@ def test_cost_formula_chord_sensitivity():
         right_chain=(3,),
         lower_limit=None,
         upper_limit=None,
-        sink_side="T",
         src_adj_left=(True, False),
         src_adj_right=(True,),
         sink_adj_left=(False, True),
