@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -82,28 +84,390 @@ def test_syntax_error_reports_position():
     assert "line 1" in str(exc.value)
 
 
-def _triangle_json(edges=None, rotation=None) -> str:
-    data = json.loads(TRIANGLE_JSON)
-    if edges is not None:
-        data["edges"] = edges
-    data["rotation"].update(rotation or {})
+def _variant(base: str, rows=None, **keys) -> str:
+    """``base`` with some rotation rows replaced, then top-level keys
+    replaced (``None`` deletes one)."""
+    data = json.loads(base)
+    data["rotation"].update(rows or {})
+    for key, value in keys.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
     return json.dumps(data)
 
 
-@pytest.mark.parametrize(
-    "text, kind",
-    [
-        pytest.param(_triangle_json(edges=5), "schema", id="edges-int"),
-        pytest.param(_triangle_json(rotation={"v": 7}), "schema", id="row-int"),
-        pytest.param(_triangle_json(rotation={"s": "vt"}), "schema", id="row-string"),
-        pytest.param(_triangle_json(rotation={"x": []}), "schema", id="unknown-key"),
-        pytest.param("[" * 10**5, "syntax", id="deep-nesting"),
-    ],
-)
-def test_malformed_input_is_a_graph_error(text, kind):
+def _case(text, kind, message, id):
+    return pytest.param(text, kind, message, id=id)
+
+
+T, R = TRIANGLE_JSON, RHOMBUS_JSON
+
+# One input per message that parse_graph and classify_ot can raise on a
+# parsed file, each a small edit of the triangle or the rhombus.
+MALFORMED = [
+    _case('{"vertices": [,]}', "syntax", "line 1 column 15: Expecting value", "json"),
+    _case(
+        "[" * 10**5,
+        "syntax",
+        "maximum recursion depth exceeded while decoding a JSON array from a "
+        "unicode string",
+        "deep-nesting",
+    ),
+    _case("[]", "schema", "top-level value must be an object", "not-object"),
+    _case(_variant(T, sink=None), "schema", "missing key 'sink'", "missing-key"),
+    _case(
+        _variant(T, vertices=[]),
+        "schema",
+        "vertices must be a non-empty list of names",
+        "no-vertices",
+    ),
+    _case(
+        _variant(T, vertices=["s", "v", "t", "v"]),
+        "schema",
+        "duplicate vertex names",
+        "duplicate-vertex",
+    ),
+    _case(_variant(T, source="x"), "schema", "unknown vertex 'x' in source", "source"),
+    _case(_variant(T, sink=3), "schema", "unknown vertex 3 in sink", "sink"),
+    _case(
+        _variant(T, edges=[["s", "x"]]),
+        "schema",
+        "unknown vertex 'x' in edges",
+        "edge-end",
+    ),
+    _case(_variant(T, edges=5), "schema", "edges must be a list of pairs", "edges-int"),
+    _case(
+        _variant(T, edges=[["s"]]), "schema", "edge entry ['s'] is not a pair", "pair"
+    ),
+    _case(_variant(T, edges=[["s", "s"]]), "schema", "self-loop at 's'", "self-loop"),
+    _case(
+        _variant(T, edges=[["s", "v"], ["s", "v"]]),
+        "schema",
+        "duplicate edge s->v",
+        "duplicate-edge",
+    ),
+    _case(
+        _variant(T, rotation=[]), "schema", "rotation must be an object", "rotation-list"
+    ),
+    _case(
+        _variant(T, rotation={"s": ["v", "t"], "t": ["s", "v"]}),
+        "schema",
+        "rotation missing for vertex 'v'",
+        "row-missing",
+    ),
+    _case(
+        _variant(T, rows={"v": 7}), "schema", "rotation of 'v' must be a list", "row-int"
+    ),
+    _case(
+        _variant(T, rows={"s": "vt"}),
+        "schema",
+        "rotation of 's' must be a list",
+        "row-string",
+    ),
+    _case(
+        _variant(T, rows={"s": ["v", "x"]}),
+        "schema",
+        "unknown vertex 'x' in rotation of 's'",
+        "row-entry",
+    ),
+    _case(
+        _variant(T, rows={"s": ["v", "t", "v"]}),
+        "schema",
+        "repeated neighbour in rotation of 's'",
+        "row-repeat",
+    ),
+    _case(
+        _variant(T, rows={"s": ["v"]}),
+        "schema",
+        "rotation of 's' does not list exactly its neighbours",
+        "row-short",
+    ),
+    _case(
+        _variant(T, rows={"x": []}),
+        "schema",
+        "rotation of unknown vertex 'x'",
+        "unknown-key",
+    ),
+    _case(
+        _variant(T, vertices=["s"], sink="s", edges=[], rotation={"s": []}),
+        "too-small",
+        "graph needs at least vertices s and t",
+        "too-small",
+    ),
+    _case(
+        _variant(T, edges=[["v", "s"], ["v", "t"], ["s", "t"]]),
+        "multi-source",
+        "expected s as the unique source, found ['v']",
+        "multi-source",
+    ),
+    _case(
+        _variant(T, edges=[["s", "v"], ["t", "v"], ["s", "t"]]),
+        "multi-sink",
+        "expected t as the unique sink, found ['v']",
+        "multi-sink",
+    ),
+    _case(
+        json.dumps(
+            {
+                "vertices": ["s", "a", "b", "c", "t"],
+                "source": "s",
+                "sink": "t",
+                "edges": [
+                    ["s", "a"], ["s", "t"], ["a", "b"], ["c", "a"], ["b", "c"],
+                    ["c", "t"],
+                ],
+                "rotation": {
+                    "s": ["t", "a"],
+                    "a": ["s", "c", "b"],
+                    "b": ["a", "c"],
+                    "c": ["b", "a", "t"],
+                    "t": ["c", "s"],
+                },
+            }
+        ),
+        "cyclic",
+        "graph contains a directed cycle",
+        "cyclic",
+    ),
+    _case(
+        json.dumps(
+            {
+                "vertices": ["s", "a", "b", "x", "t"],
+                "source": "s",
+                "sink": "t",
+                "edges": [
+                    ["s", "a"], ["s", "x"], ["a", "x"], ["x", "b"], ["x", "t"],
+                    ["b", "t"],
+                ],
+                "rotation": {
+                    "s": ["a", "x"],
+                    "a": ["s", "x"],
+                    "b": ["x", "t"],
+                    "x": ["s", "b", "a", "t"],
+                    "t": ["x", "b"],
+                },
+            }
+        ),
+        "non-consecutive-in-out",
+        "vertex x: incoming/outgoing edges are interleaved in the rotation",
+        "in-out",
+    ),
+    _case(
+        _variant(R, rows={"s": ["a", "b", "t"]}),
+        "non-planar-rotation",
+        "rotation system is not a planar embedding: V-E+F = 4-5+1 != 2",
+        "non-planar",
+    ),
+    _case(
+        json.dumps(
+            {
+                "vertices": ["s", "a", "b", "t"],
+                "source": "s",
+                "sink": "t",
+                "edges": [
+                    ["s", "a"], ["s", "b"], ["s", "t"], ["a", "b"], ["a", "t"],
+                    ["b", "t"],
+                ],
+                "rotation": {
+                    "s": ["a", "t", "b"],
+                    "a": ["b", "t", "s"],
+                    "b": ["s", "t", "a"],
+                    "t": ["b", "s", "a"],
+                },
+            }
+        ),
+        "sink-not-on-outer-face",
+        "sink t does not lie on the outer face",
+        "sink-inside",
+    ),
+    _case(
+        _variant(R, rows={"s": ["b", "a", "t"]}),
+        "not-outerplanar",
+        "vertex a does not lie on the outer face",
+        "inner-vertex",
+    ),
+    _case(
+        _variant(
+            T,
+            edges=[["s", "v"], ["v", "t"]],
+            rows={"s": ["v"], "v": ["t", "s"], "t": ["v"]},
+        ),
+        "not-outerplanar",
+        "boundary chains overlap",
+        "chains-overlap",
+    ),
+    _case(
+        _variant(
+            R,
+            edges=[["s", "a"], ["s", "b"], ["a", "t"], ["b", "t"]],
+            rows={"s": ["a", "b"], "t": ["b", "a"]},
+        ),
+        "non-triangular-face",
+        "interior face (s,a,t,b) is not a triangle",
+        "quadrilateral",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, kind, message", MALFORMED)
+def test_malformed_input_is_a_graph_error(text, kind, message):
     with pytest.raises(GraphError) as exc:
-        parse_graph(text)
-    assert exc.value.kind == kind
+        classify_ot(parse_graph(text))
+    assert (exc.value.kind, str(exc.value)) == (kind, message)
+
+
+# Messages that no parsed file can reach: parse_graph has checked that the
+# rotations are a planar st-embedding with s and t on the outer face, so
+# the outer face is two directed chains and m = 2n - 3 follows from
+# triangular faces.  classify_ot still reports them on graphs built
+# without validation.
+UNVALIDATED = [
+    _case(
+        _variant(T, edges=[["s", "v"], ["t", "s"]], rows={"v": ["s"], "t": ["s"]}),
+        "not-outerplanar",
+        "outer boundary visits s 2 times",
+        "source-twice",
+    ),
+    _case(
+        _variant(T, edges=[["s", "v"]], rows={"s": ["v"], "v": ["s"], "t": []}),
+        "not-outerplanar",
+        "outer boundary reverses direction at v before reaching the sink",
+        "right-reversed",
+    ),
+    _case(
+        _variant(T, edges=[["t", "s"]], rows={"s": ["t"], "v": [], "t": ["s"]}),
+        "not-outerplanar",
+        "outer boundary dart t->s is not a reversed edge above the sink",
+        "left-forward",
+    ),
+    _case(
+        _variant(T, edges=[["s", "t"]], rows={"s": ["t"], "v": [], "t": ["s"]}),
+        "not-outerplanar",
+        "vertex v does not lie on the outer face",
+        "isolated-vertex",
+    ),
+    _case(
+        json.dumps(
+            {
+                "vertices": ["s", "a", "b", "t", "c"],
+                "source": "s",
+                "sink": "t",
+                "edges": [
+                    ["s", "a"], ["a", "b"], ["b", "t"], ["c", "t"], ["s", "c"],
+                    ["s", "b"], ["a", "t"],
+                ],
+                "rotation": {
+                    "s": ["a", "b", "c"],
+                    "a": ["b", "t", "s"],
+                    "b": ["t", "s", "a"],
+                    "t": ["c", "a", "b"],
+                    "c": ["s", "t"],
+                },
+            }
+        ),
+        "not-outerplanar",
+        "rotation of b does not follow the boundary cycle, or one of its edges "
+        "crosses another",
+        "crossing-chords",
+    ),
+    _case(
+        json.dumps(
+            {
+                "vertices": ["s", "l1", "r1", "r2", "r3", "t"],
+                "source": "s",
+                "sink": "t",
+                "edges": [
+                    ["s", "l1"], ["s", "r1"], ["s", "t"], ["l1", "t"], ["r1", "r2"],
+                    ["r3", "r1"], ["r1", "t"], ["r2", "r3"],
+                ],
+                "rotation": {
+                    "s": ["l1", "t", "r1"],
+                    "l1": ["t", "s"],
+                    "r1": ["s", "t", "r3", "r2"],
+                    "r2": ["r1", "r3"],
+                    "r3": ["r2", "r1"],
+                    "t": ["r1", "s", "l1"],
+                },
+            }
+        ),
+        "non-triangular-face",
+        "8 edges, a triangulation has 9",
+        "edge-count",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, kind, message", UNVALIDATED)
+def test_classify_unvalidated_graph_errors(text, kind, message):
+    data = json.loads(text)
+    g = build_graph(
+        data["vertices"],
+        data["source"],
+        data["sink"],
+        data["edges"],
+        data["rotation"],
+        validate=False,
+    )
+    with pytest.raises(GraphError) as exc:
+        classify_ot(g)
+    assert (exc.value.kind, str(exc.value)) == (kind, message)
+
+
+def _single_mutations(corpus, count: int, seed: int):
+    """``count`` graph files, each a corpus file with one random edit:
+    drop, swap or repeat a rotation entry; flip an edge; drop an edge with
+    its two rotation entries; add an edge between two non-adjacent
+    vertices at random rotation slots; or rotate the source's row."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        data = json.loads(serialize_graph(rng.choice(corpus).base))
+        rot, edges = data["rotation"], data["edges"]
+        row = rot[rng.choice(data["vertices"])]
+        op = rng.choice(("drop", "swap", "repeat", "flip", "cut", "join", "turn"))
+        if op == "drop":
+            row.pop(rng.randrange(len(row)))
+        elif op == "swap":
+            i, j = rng.sample(range(len(row)), 2)
+            row[i], row[j] = row[j], row[i]
+        elif op == "repeat":
+            row.insert(rng.randrange(len(row) + 1), rng.choice(row))
+        elif op == "flip":
+            edges[rng.randrange(len(edges))].reverse()
+        elif op == "cut":
+            a, b = edges.pop(rng.randrange(len(edges)))
+            rot[a].remove(b)
+            rot[b].remove(a)
+        elif op == "join":
+            a, b = rng.sample(data["vertices"], 2)
+            if b not in rot[a]:
+                edges.append([a, b])
+                rot[a].insert(rng.randrange(len(rot[a]) + 1), b)
+                rot[b].insert(rng.randrange(len(rot[b]) + 1), a)
+        else:
+            src = rot[data["source"]]
+            i = rng.randrange(1, len(src))
+            rot[data["source"]] = src[i:] + src[:i]
+        yield json.dumps(data)
+
+
+def test_single_mutation_sweep_errors_pinned(corpus):
+    # The (kind, message) of 200 single edits of corpus files, as one
+    # digest: any change to which check fires first, or to its wording,
+    # changes it.
+    outcomes = []
+    for text in _single_mutations(corpus[:60], 200, seed=6):
+        try:
+            classify_ot(parse_graph(text))
+            outcomes.append(["ok", ""])
+        except GraphError as exc:
+            outcomes.append([exc.kind, str(exc)])
+    kinds = {kind for kind, _ in outcomes}
+    assert len(kinds) >= 8, kinds
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == (
+        "3f2a0adaf1bc3544ea97d1b6674bad08a68aed6528deaf481b2e3fc070ad1585"
+    )
 
 
 _NAMES = st.sampled_from(["s", "v", "t", "x"])
