@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import book_embedding as be
 from . import decomposition as dec
@@ -170,28 +170,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(x) for x in args.sizes.split(",")]
-    print("          n   polygons   seconds      ratio")
-    prev: Optional[float] = None
-    for size in sizes:
-        count = max(1, (size - 2) // 2)
-        ot = og.polygon_stack(count, validate=False)
-        t0 = time.perf_counter()
-        d = dec.decompose(ot)
-        costs = sv.all_costs(d)
-        table = sv.dp_solve(d, costs)
-        result = sv.reconstruct(d, table, costs)
-        dt = time.perf_counter() - t0
-        ratio = "" if prev is None else f"{dt / prev:10.2f}"
-        print(
-            f"{ot.base.n:11d} {d.polygon_count:10d} {dt:9.3f} {ratio:>10}"
-        )
-        assert result.total_crossings == table.minimum
-        prev = dt
-    return 0
-
-
 def run(argv: Sequence[str]) -> int:
     """Parse arguments, dispatch, and map errors to exit codes."""
     parser = argparse.ArgumentParser(
@@ -238,9 +216,6 @@ def run(argv: Sequence[str]) -> int:
     p.add_argument("--bias", type=float, default=0.5)
     p.add_argument("-o", "--output")
 
-    p = sub.add_parser("bench", help="timing table on stacked-polygon chains")
-    p.add_argument("--sizes", default="10000,100000,1000000")
-
     args = parser.parse_args(argv)
     handlers = {
         "validate": _cmd_validate,
@@ -249,7 +224,6 @@ def run(argv: Sequence[str]) -> int:
         "embed": _cmd_embed,
         "render": _cmd_render,
         "gen": _cmd_gen,
-        "bench": _cmd_bench,
     }
     try:
         if args.command == "check":

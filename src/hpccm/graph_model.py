@@ -6,6 +6,14 @@ bottom, sink at the top, left boundary chain on the left).  All derived
 data -- faces, the outer face, boundary chains, edge sidedness -- follows
 from that chirality convention.
 
+The rotation system is stored once, as CSR slots: row v of ``nbr``
+(slots ``off[v]`` to ``off[v + 1] - 1``) is v's clockwise rotation as
+given, each slot a dart v -> w.  ``out`` flags the slots whose edge leaves
+v and ``twin`` gives the slot of the reverse dart.  The dart after slot
+i = (u -> v) around its right face is the slot just before ``twin[i]`` in
+v's row, cyclically.  :class:`OtArrays` is this CSR relabelled by
+boundary-cycle position.
+
 Since the rotation system alone determines an embedding only up to the
 choice of outer face, the file format fixes it: the rotation array of the
 source starts at its leftmost edge, so the outer face is the face lying to
@@ -17,11 +25,14 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, compress, count, repeat
+from json.encoder import encode_basestring_ascii
+from operator import add, mul, sub
+from typing import Iterable, Iterator, Sequence
 
 VertexId = int
 DirectedEdge = tuple[VertexId, VertexId]
@@ -48,14 +59,60 @@ class EmbeddedDigraph:
 
     Immutable after construction; every derived structure is cached and
     safe for concurrent reads.  Vertices are dense integer ids; ``names``
-    maps them back to the labels used in graph files.
+    maps them back to the labels used in graph files.  ``off``, ``nbr``,
+    ``out`` and ``twin`` hold the rotation system as CSR slots (see the
+    module docstring); :meth:`from_rows` fills them.
     """
 
     names: tuple[str, ...]
     s: VertexId
     t: VertexId
     edges: frozenset[DirectedEdge]
-    rotation: tuple[tuple[VertexId, ...], ...]
+    off: array = field(hash=False)
+    nbr: array = field(hash=False)
+    out: bytes = field(hash=False)
+    twin: array = field(hash=False)
+
+    @classmethod
+    def from_rows(
+        cls,
+        names: Iterable[str],
+        s: VertexId,
+        t: VertexId,
+        edges: Iterable[DirectedEdge],
+        rows: Iterable[Iterable[VertexId]],
+    ) -> EmbeddedDigraph:
+        """The graph whose vertex v has clockwise rotation ``rows[v]``.
+
+        Fills the slots and pairs the two slots of each edge as twins; an
+        edge and its reverse, if both are given, share one pair of slots.
+        A row that does not list exactly its vertex's neighbours raises
+        ``schema``, before any error raised while reading a later row.
+        """
+        names, edges = tuple(names), frozenset(edges)
+        n = len(names)
+        off, nbr = array("i", [0]), array("i")
+        try:
+            for row in rows:
+                nbr.extend(row)
+                off.append(len(nbr))
+        except GraphError:
+            _check_rows(names, edges, off, nbr)
+            raise
+        # Dart v -> w is the number v * n + w.  The rows are right exactly
+        # when their slots hold distinct darts, those of the edges both ways.
+        lens = map(sub, off[1:], off)
+        tails = array("i", chain.from_iterable(map(repeat, range(n), lens)))
+        darts = list(map(add, map(mul, tails, repeat(n)), nbr))
+        slot_of = dict(zip(darts, count()))
+        forward = {u * n + v for (u, v) in edges}
+        backward = {v * n + u for (u, v) in edges}
+        if len(slot_of) != len(darts) or slot_of.keys() != forward | backward:
+            _check_rows(names, edges, off, nbr)
+        reverse = map(add, map(mul, nbr, repeat(n)), tails)
+        twin = array("i", map(slot_of.__getitem__, reverse))
+        out = bytes(map(forward.__contains__, darts))
+        return cls(names, s, t, edges, off, nbr, out, twin)
 
     @property
     def n(self) -> int:
@@ -69,20 +126,26 @@ class EmbeddedDigraph:
     def id_of(self) -> dict[str, VertexId]:
         return {name: i for i, name in enumerate(self.names)}
 
-    @cached_property
-    def out_neighbors(self) -> tuple[tuple[VertexId, ...], ...]:
-        """Out-neighbours of each vertex, in clockwise rotation order."""
-        return tuple(
-            tuple(w for w in rot if (v, w) in self.edges)
-            for v, rot in enumerate(self.rotation)
-        )
-
-    @cached_property
-    def _rot_pos(self) -> tuple[dict[VertexId, int], ...]:
-        return tuple({w: i for i, w in enumerate(rot)} for rot in self.rotation)
-
     def name_edge(self, e: DirectedEdge) -> str:
         return f"{self.names[e[0]]}->{self.names[e[1]]}"
+
+
+def _check_rows(names: tuple[str, ...], edges: frozenset, off: array, nbr: array):
+    """Raise ``schema`` for the first row read so far that does not list
+    exactly its vertex's neighbours.  O(m)."""
+    adjacency: list[set[VertexId]] = [set() for _ in names]
+    for (u, v) in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    for v in range(len(off) - 1):
+        row = nbr[off[v] : off[v + 1]]
+        if len(set(row)) != len(row):
+            message = f"repeated neighbour in rotation of {names[v]!r}"
+        elif set(row) != adjacency[v]:
+            message = f"rotation of {names[v]!r} does not list exactly its neighbours"
+        else:
+            continue
+        raise GraphError("schema", message)
 
 
 @dataclass(frozen=True)
@@ -121,23 +184,14 @@ class OtArrays:
         k: int,
         off: Iterable[int],
         nbr: Iterable[int],
-        outdeg: Sequence[int],
+        out: bytes,
     ):
-        n = len(cyc)
-        self.n = n
+        self.n = n = len(cyc)
         self.k = k
         self.cyc = array("i", cyc)
         self.off = off = array("i", off)
         self.nbr = nbr = array("i", nbr)
-        out = bytearray(off[n])
-        ones = b"\x01" * n
-        for p in range(n):
-            o = outdeg[p]
-            if p <= k:
-                out[off[p] : off[p] + o] = ones[:o]
-            else:
-                out[off[p + 1] - o : off[p + 1]] = ones[:o]
-        self.out = bytes(out)
+        self.out = out = bytes(out)
         # The left-greedy merge of the two chains is a topological order:
         # each left vertex l_i follows exactly the right vertices r_1..r_A,
         # A the highest right tail of an edge into l_1..l_i (the first
@@ -147,7 +201,7 @@ class OtArrays:
         before = array("i")
         a = 0
         for p in range(1, k + 1):
-            q = nbr[off[p] + outdeg[p]]
+            q = nbr[out.index(0, off[p])]
             if q > k + 1 and n - q > a:
                 a = n - q
             rank[p] = p + a
@@ -194,15 +248,15 @@ class OTStDigraph:
 
 
 def _arrays_from_rotation(g: OTStDigraph) -> OtArrays:
-    """Positional arrays of an instance, read off its rotations.
+    """Positional arrays of an instance: the base's slot rows relabelled
+    by cycle position, each rotated to start at the cycle successor.
 
     Also checks, without relying on :func:`validate_embedded`, that the
-    rotations are an outerplanar embedding: each row, rotated to start at
-    the cycle successor, must list the neighbours above its position
-    ascending and then those below ascending, and no two edges may cross
-    as chords of the cycle.  Then m = 2n - 3 (checked by
-    :func:`classify_ot`) holds exactly when every interior face is a
-    triangle.
+    rotations are an outerplanar embedding: each rotated row must list the
+    neighbours above its position ascending and then those below
+    ascending, and no two edges may cross as chords of the cycle.  Then
+    m = 2n - 3 (checked by :func:`classify_ot`) holds exactly when every
+    interior face is a triangle.
     """
     base = g.base
     n = base.n
@@ -210,19 +264,17 @@ def _arrays_from_rotation(g: OTStDigraph) -> OtArrays:
     pos = [0] * n
     for p, v in enumerate(cyc):
         pos[v] = p
-    outdeg = [0] * n
-    for (u, _) in base.edges:
-        outdeg[pos[u]] += 1
-    rows = []
+    boff, bnbr, bout = base.off, base.nbr, base.out
+    off, nbr, out = array("i", [0]), array("i"), bytearray()
     # The edges (a, b), a < b, spanning the current position, as a * n + b
     # and innermost on top.  Both checks hold exactly when every row's
     # edges down to lower positions close the innermost ones in turn.
     open_at: list[int] = []
     for p, v in enumerate(cyc):
-        row = [pos[w] for w in base.rotation[v]]
+        o, e = boff[v], boff[v + 1]
+        row = [pos[w] for w in bnbr[o:e]]
         i = row.index(p + 1 if p + 1 < n else 0)
-        if i:
-            row = row[i:] + row[:i]
+        row = row[i:] + row[:i]
         ups = [q for q in row if q > p]
         for q in reversed(row[len(ups) :]):
             if not open_at or open_at.pop() != q * n + p:
@@ -232,90 +284,67 @@ def _arrays_from_rotation(g: OTStDigraph) -> OtArrays:
                     f"cycle, or one of its edges crosses another",
                 )
         open_at += [p * n + q for q in reversed(ups)]
-        rows.append(row)
-    off = accumulate(map(len, rows), initial=0)
-    return OtArrays(cyc, len(g.left), off, chain.from_iterable(rows), outdeg)
+        nbr.extend(row)
+        out += bout[o + i : e] + bout[o : o + i]
+        off.append(len(nbr))
+    return OtArrays(cyc, len(g.left), off, nbr, out)
 
 
 # ---------------------------------------------------------------------------
 # Face tracing and validation
 
 
-def trace_face(g: EmbeddedDigraph, start: Dart) -> tuple[Dart, ...]:
-    """Boundary walk of the face lying to the right of ``start``: each
-    step leaves dart (u, v) by (v, w), w the neighbour just before u in
-    v's clockwise rotation."""
-    rotation, rot_pos = g.rotation, g._rot_pos
-    walk = [start]
-    u, v = start
-    while True:
-        u, v = v, rotation[v][rot_pos[v][u] - 1]
-        if (u, v) == start:
-            return tuple(walk)
-        walk.append((u, v))
+def outer_slot(g: EmbeddedDigraph) -> int:
+    """Slot whose right face is the outer face, by the format convention:
+    the source's last one."""
+    return g.off[g.s + 1] - 1
 
 
-def triangle_apex(g: EmbeddedDigraph, u: VertexId, v: VertexId) -> Optional[VertexId]:
-    """Third vertex w of the face right of dart (u, v) if that face is a
-    triangle, else None: w is the neighbour just before u in v's clockwise
-    rotation, and two more such steps (:func:`trace_face`) must lead back
-    to (u, v).  O(1)."""
-    rotation, rot_pos = g.rotation, g._rot_pos
-    w = rotation[v][rot_pos[v][u] - 1]
-    if rotation[w][rot_pos[w][v] - 1] == u and rotation[u][rot_pos[u][w] - 1] == v:
-        return w
-    return None
-
-
-def check_interior_triangles(g: EmbeddedDigraph, outer: set[Dart]) -> None:
-    """Raise ``non-triangular-face`` naming the first interior face, in the
-    order :func:`faces` lists them, that is not a triangle.  ``outer`` holds
-    the darts of the outer face.  O(m)."""
-    edges = sorted(g.edges)
-    for dart in edges + [(v, u) for (u, v) in edges]:
-        if dart not in outer and triangle_apex(g, *dart) is None:
-            names = ",".join(g.names[u] for (u, _) in trace_face(g, dart))
-            raise GraphError(
-                "non-triangular-face", f"interior face ({names}) is not a triangle"
-            )
-
-
-def outer_face_start(g: EmbeddedDigraph) -> Dart:
-    """Dart whose right face is the outer face, by the format convention."""
-    return (g.s, g.rotation[g.s][-1])
-
-
-def _face_starts(g: EmbeddedDigraph, darts: Iterable[Dart]) -> Iterator[Dart]:
-    """The darts of ``darts`` that start a face walk not met before.  A
-    walk marks each dart it passes in a flag per rotation slot.  O(m)."""
-    rotation, rot_pos = g.rotation, g._rot_pos
-    off = list(accumulate(map(len, rotation), initial=0))
-    seen = bytearray(off[-1])
-    for start in darts:
-        u, v = start
-        slot = off[u] + rot_pos[u][v]
-        if seen[slot]:
-            continue
-        yield start
-        while not seen[slot]:
-            seen[slot] = 1
-            j = (rot_pos[v][u] - 1) % len(rotation[v])
-            u, v, slot = v, rotation[v][j], off[v] + j
+def face_walks(g: EmbeddedDigraph, slots: Iterable[int]) -> Iterator[list[int]]:
+    """The face walks through the slots of ``slots`` not met before, each
+    as its slots from the first such slot.  A walk leaves slot i =
+    (u -> v) by the slot just before ``twin[i]`` in v's row, i.e. by
+    (v, w) with w the neighbour just before u in v's clockwise rotation.
+    O(m)."""
+    off, nbr, twin = g.off, g.nbr, g.twin
+    seen = bytearray(len(nbr))
+    for i in slots:
+        walk = []
+        while not seen[i]:
+            seen[i] = 1
+            walk.append(i)
+            v, j = nbr[i], twin[i]
+            i = j - 1 if j > off[v] else off[v + 1] - 1
+        if walk:
+            yield walk
 
 
 def faces(g: EmbeddedDigraph) -> FaceSet:
     """All face boundary walks traced from the rotation system.
 
-    Each dart (directed edge side) belongs to exactly one walk; the outer
-    face is the one containing the dart fixed by the source's rotation
-    array convention.
+    Each dart (directed edge side) belongs to exactly one walk, which
+    starts at its first dart in this order: the edges sorted, then the
+    same edges reversed.  The outer face is the one containing the dart
+    fixed by the source's rotation array convention.
     """
-    edges = sorted(g.edges)
-    darts = edges + [(v, u) for (u, v) in edges]
-    walks = [trace_face(g, d0) for d0 in _face_starts(g, darts)]
-    outer_start = outer_face_start(g)
-    outer = next((i for i, w in enumerate(walks) if outer_start in w), -1)
-    return FaceSet(walks=tuple(walks), outer=outer)
+    nbr, twin = g.nbr, g.twin
+    edges = sorted(compress(count(), g.out), key=lambda i: (nbr[twin[i]], nbr[i]))
+    walks = list(face_walks(g, edges + [twin[i] for i in edges]))
+    start = outer_slot(g)
+    outer = next((k for k, w in enumerate(walks) if start in w), -1)
+    darts = (tuple((nbr[twin[i]], nbr[i]) for i in w) for w in walks)
+    return FaceSet(walks=tuple(darts), outer=outer)
+
+
+def check_interior_triangles(g: EmbeddedDigraph) -> None:
+    """Raise ``non-triangular-face`` naming the first interior face, in the
+    order :func:`faces` lists them, that is not a triangle.  O(m)."""
+    for walk in faces(g).interior:
+        if len(walk) != 3:
+            names = ",".join(g.names[u] for (u, _) in walk)
+            raise GraphError(
+                "non-triangular-face", f"interior face ({names}) is not a triangle"
+            )
 
 
 def kahn_order(g: EmbeddedDigraph) -> tuple[list[VertexId], bool]:
@@ -323,55 +352,37 @@ def kahn_order(g: EmbeddedDigraph) -> tuple[list[VertexId], bool]:
     whether two vertices were ever ready at once.  The order is shorter
     than n exactly when the graph has a directed cycle, and it is the only
     topological order exactly when it is full and never ambiguous."""
-    indeg = [0] * g.n
-    for (_, v) in g.edges:
-        indeg[v] += 1
-    ready = [v for v, d in enumerate(indeg) if d == 0]
+    off, nbr, out = g.off, g.nbr, g.out
+    indeg = Counter(compress(nbr, out))
+    ready = [v for v in range(g.n) if not indeg[v]]
     order: list[VertexId] = []
     ambiguous = False
     while ready:
         ambiguous = ambiguous or len(ready) > 1
         v = ready.pop()
         order.append(v)
-        for w in g.out_neighbors[v]:
+        o, e = off[v], off[v + 1]
+        for w in compress(nbr[o:e], out[o:e]):
             indeg[w] -= 1
             if indeg[w] == 0:
                 ready.append(w)
     return order, ambiguous
 
 
-def _check_consecutive_blocks(g: EmbeddedDigraph, v: VertexId) -> None:
-    rot = g.rotation[v]
-    flags = [(v, w) in g.edges for w in rot]
-    if all(flags) or not any(flags):
-        return
-    # A single maximal run of outgoing edges means a single run of incoming
-    # ones too; count block changes around the cycle.
-    changes = sum(1 for i in range(len(rot)) if flags[i] != flags[i - 1])
-    if changes != 2:
-        raise GraphError(
-            "non-consecutive-in-out",
-            f"vertex {g.names[v]}: incoming/outgoing edges are interleaved "
-            f"in the rotation",
-        )
-
-
 def validate_embedded(g: EmbeddedDigraph) -> None:
     """Check every invariant of an embedded planar st-digraph.
 
-    Raises GraphError with kinds: cyclic, multi-source, multi-sink,
-    non-planar-rotation, non-consecutive-in-out, sink-not-on-outer-face.
+    Raises GraphError with kinds: too-small, multi-source, multi-sink,
+    cyclic, non-consecutive-in-out, non-planar-rotation,
+    sink-not-on-outer-face.
     """
     n = g.n
     if n < 2:
         raise GraphError("too-small", "graph needs at least vertices s and t")
-    indeg = [0] * n
-    outdeg = [0] * n
-    for (u, v) in g.edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    sources = [v for v in range(n) if indeg[v] == 0]
-    sinks = [v for v in range(n) if outdeg[v] == 0]
+    off, nbr, out = g.off, g.nbr, g.out
+    indeg = Counter(compress(nbr, out))
+    sources = [v for v in range(n) if not indeg[v]]
+    sinks = [v for v in range(n) if 1 not in out[off[v] : off[v + 1]]]
     if len(sources) != 1 or sources[0] != g.s:
         raise GraphError(
             "multi-source",
@@ -387,16 +398,23 @@ def validate_embedded(g: EmbeddedDigraph) -> None:
     if len(kahn_order(g)[0]) != n:
         raise GraphError("cyclic", "graph contains a directed cycle")
     for v in range(n):
-        _check_consecutive_blocks(g, v)
-    darts = ((u, v) for u, rot in enumerate(g.rotation) for v in rot)
-    count = sum(1 for _ in _face_starts(g, darts))
+        # The outgoing slots form one cyclic run exactly when at most one
+        # outgoing slot is followed by an incoming one.
+        o, e = off[v], off[v + 1]
+        if out.count(b"\x01\x00", o, e) + (out[e - 1] > out[o] if e > o else 0) > 1:
+            raise GraphError(
+                "non-consecutive-in-out",
+                f"vertex {g.names[v]}: incoming/outgoing edges are interleaved "
+                f"in the rotation",
+            )
+    count = sum(1 for _ in face_walks(g, range(len(nbr))))
     if n - g.m + count != 2:
         raise GraphError(
             "non-planar-rotation",
             f"rotation system is not a planar embedding: V-E+F = "
             f"{n}-{g.m}+{count} != 2",
         )
-    if all(u != g.t for (u, _) in trace_face(g, outer_face_start(g))):
+    if g.t not in map(nbr.__getitem__, next(face_walks(g, [outer_slot(g)]))):
         raise GraphError(
             "sink-not-on-outer-face",
             f"sink {g.names[g.t]} does not lie on the outer face",
@@ -463,52 +481,46 @@ def parse_graph(text: str) -> EmbeddedDigraph:
     rot_obj = data["rotation"]
     if not isinstance(rot_obj, dict):
         raise GraphError("schema", "rotation must be an object")
-    adjacency: list[set[int]] = [set() for _ in names]
-    for (u, v) in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    rotation: list[tuple[int, ...]] = []
-    for i, name in enumerate(names):
-        if name not in rot_obj:
-            raise GraphError("schema", f"rotation missing for vertex {name!r}")
-        if not isinstance(rot_obj[name], list):
-            raise GraphError("schema", f"rotation of {name!r} must be a list")
-        row = [vid(w, f"rotation of {name!r}") for w in rot_obj[name]]
-        if len(row) != len(set(row)):
-            raise GraphError("schema", f"repeated neighbour in rotation of {name!r}")
-        if set(row) != adjacency[i]:
-            raise GraphError(
-                "schema",
-                f"rotation of {name!r} does not list exactly its neighbours",
-            )
-        rotation.append(tuple(row))
+
+    def rows() -> Iterator[list[int]]:
+        for name in names:
+            if name not in rot_obj:
+                raise GraphError("schema", f"rotation missing for vertex {name!r}")
+            row = rot_obj[name]
+            if not isinstance(row, list):
+                raise GraphError("schema", f"rotation of {name!r} must be a list")
+            where = f"rotation of {name!r}"
+            yield [vid(w, where) for w in row]
+
+    g = EmbeddedDigraph.from_rows(names, s, t, edges, rows())
     if len(rot_obj) != len(names):
         extra = next(key for key in rot_obj if key not in ids)
         raise GraphError("schema", f"rotation of unknown vertex {extra!r}")
-    g = EmbeddedDigraph(
-        names=tuple(names),
-        s=s,
-        t=t,
-        edges=frozenset(edges),
-        rotation=tuple(rotation),
-    )
     validate_embedded(g)
     return g
 
 
 def serialize_graph(g: EmbeddedDigraph) -> str:
-    """Canonical JSON text; parse_graph round-trips it bit-exactly."""
-    data = {
-        "vertices": list(g.names),
-        "source": g.names[g.s],
-        "sink": g.names[g.t],
-        "edges": [[g.names[u], g.names[v]] for (u, v) in sorted(g.edges)],
-        "rotation": {
-            g.names[v]: [g.names[w] for w in rot]
-            for v, rot in enumerate(g.rotation)
-        },
-    }
-    return json.dumps(data, indent=2) + "\n"
+    """Canonical JSON text; parse_graph round-trips it bit-exactly.  It is
+    ``json.dumps`` of the format object with ``indent=2``, written out
+    directly with each name quoted once."""
+    q = list(map(encode_basestring_ascii, g.names))
+    off, nbr = g.off, g.nbr
+
+    def block(items: list[str], ind: str) -> str:
+        sep = f",\n{ind}  "
+        return f"[\n{ind}  {sep.join(items)}\n{ind}]" if items else "[]"
+
+    edges = [f"[\n      {q[u]},\n      {q[v]}\n    ]" for (u, v) in sorted(g.edges)]
+    rows = [
+        f"{q[v]}: " + block([q[w] for w in nbr[off[v] : off[v + 1]]], "    ")
+        for v in range(g.n)
+    ]
+    return (
+        f'{{\n  "vertices": {block(q, "  ")},\n  "source": {q[g.s]},\n'
+        f'  "sink": {q[g.t]},\n  "edges": {block(edges, "  ")},\n'
+        '  "rotation": {\n    ' + ",\n    ".join(rows) + "\n  }\n}\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +537,11 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
     edges crossing (checked as the positional arrays are built), and then
     the interior faces are all triangles exactly when m = 2n - 3.
     """
-    outer = trace_face(g, outer_face_start(g))
-    # Rotate the cyclic walk to start at s.
-    starts = [i for i, (u, _) in enumerate(outer) if u == g.s]
+    nbr, out, twin = g.nbr, g.out, g.twin
+    outer = next(face_walks(g, [outer_slot(g)]))
+    # Rotate the cyclic walk to start at s, the tail of its first slot
+    # (the head of the slot before).
+    starts = [k for k in range(len(outer)) if nbr[outer[k - 1]] == g.s]
     if len(starts) != 1:
         raise GraphError(
             "not-outerplanar",
@@ -538,11 +552,12 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
     right: list[VertexId] = []
     left_rev: list[VertexId] = []
     at_t = False
-    for (u, v) in walk[1:]:
+    for i in walk[1:]:
+        u, v = nbr[twin[i]], nbr[i]
         if u == g.t:
             at_t = True
         if at_t:
-            if (v, u) not in g.edges:
+            if not out[twin[i]]:
                 raise GraphError(
                     "not-outerplanar",
                     f"outer boundary dart {g.names[u]}->{g.names[v]} is not a "
@@ -550,15 +565,14 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
                 )
             left_rev.append(v)
         else:
-            if (u, v) not in g.edges:
+            if not out[i]:
                 raise GraphError(
                     "not-outerplanar",
                     f"outer boundary reverses direction at {g.names[u]} "
                     f"before reaching the sink",
                 )
             right.append(u)
-    left_rev = left_rev[:-1]  # drop s, appended when the walk closes
-    left = tuple(reversed(left_rev))
+    left = tuple(reversed(left_rev[:-1]))  # drop s, appended when the walk closes
     right_chain = tuple(right)
     boundary = {g.s, g.t, *left, *right_chain}
     if len(boundary) != g.n or len(left) + len(right_chain) + 2 != len(walk):
@@ -570,7 +584,7 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
     if set(left) & set(right_chain):
         raise GraphError("not-outerplanar", "boundary chains overlap")
     if g.m != 2 * g.n - 3:
-        check_interior_triangles(g, set(outer))
+        check_interior_triangles(g)
         raise GraphError(
             "non-triangular-face", f"{g.m} edges, a triangulation has {2 * g.n - 3}"
         )
@@ -608,13 +622,9 @@ def build_graph(
     """Construct a graph from names (convenience for tests and builders)."""
     names = tuple(names)
     ids = {name: i for i, name in enumerate(names)}
-    g = EmbeddedDigraph(
-        names=names,
-        s=ids[source],
-        t=ids[sink],
-        edges=frozenset((ids[u], ids[v]) for (u, v) in edges),
-        rotation=tuple(tuple(ids[w] for w in rotation[name]) for name in names),
-    )
+    pairs = ((ids[u], ids[v]) for (u, v) in edges)
+    rows = ([ids[w] for w in rotation[name]] for name in names)
+    g = EmbeddedDigraph.from_rows(names, ids[source], ids[sink], pairs, rows)
     if validate:
         validate_embedded(g)
     return g

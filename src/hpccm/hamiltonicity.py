@@ -17,10 +17,9 @@ from .graph_model import (
     EmbeddedDigraph,
     VertexId,
     check_interior_triangles,
+    face_walks,
     kahn_order,
-    outer_face_start,
-    trace_face,
-    triangle_apex,
+    outer_slot,
 )
 
 
@@ -34,46 +33,48 @@ class Rhombus:
 
 
 def find_rhombi(g: EmbeddedDigraph) -> tuple[Rhombus, ...]:
-    """All rhombi of a triangulated st-digraph, one O(1) test per edge.
+    """All rhombi of a triangulated st-digraph, in O(m).
 
     An edge (u, v) is a median when both its faces are interior triangles
-    (read off the rotations by :func:`~hpccm.graph_model.triangle_apex`)
-    whose apexes w satisfy u -> w -> v.  Reported once per median edge,
+    whose apexes w satisfy u -> w -> v.  One walk over the faces flags
+    each slot whose right face is such a triangle for its edge: in the
+    triangle's slots a, b, c the edge of a is flanked exactly when b and c
+    both point the other way along it.  Reported once per median edge,
     ordered by (tail id, head id).  Raises if some interior face is not a
     triangle.
     """
-    edges = g.edges
-    outer = set(trace_face(g, outer_face_start(g)))
+    off, nbr, out, twin = g.off, g.nbr, g.out, g.twin
+    outer = outer_slot(g)
+    flank = bytearray(len(nbr))
+    for walk in face_walks(g, range(len(nbr))):
+        if outer in walk:
+            continue
+        if len(walk) != 3:
+            check_interior_triangles(g)  # raises: this face is one
+        a, b, c = walk
+        flank[a] = out[b] == out[c] != out[a]
+        flank[b] = out[c] == out[a] != out[b]
+        flank[c] = out[a] == out[b] != out[c]
 
-    def apex(u: VertexId, v: VertexId) -> Optional[VertexId]:
-        if (u, v) in outer:
-            return None
-        w = triangle_apex(g, u, v)
-        if w is None:
-            check_interior_triangles(g, outer)  # raises: this face is one
-        return w
+    def apex(i: int) -> VertexId:
+        v, j = nbr[i], twin[i]
+        return nbr[j - 1 if j > off[v] else off[v + 1] - 1]
 
-    out = []
-    for (u, v) in sorted(edges):
-        right_apex, left_apex = apex(u, v), apex(v, u)
-        if (
-            right_apex is not None
-            and left_apex is not None
-            and (u, right_apex) in edges
-            and (right_apex, v) in edges
-            and (u, left_apex) in edges
-            and (left_apex, v) in edges
-        ):
-            out.append(
-                Rhombus(
-                    source=u,
-                    sink=v,
-                    left_apex=left_apex,
-                    right_apex=right_apex,
-                    median=(u, v),
+    found = []
+    for u in range(g.n):
+        for i in range(off[u], off[u + 1]):
+            if out[i] and flank[i] and flank[twin[i]]:
+                v = nbr[i]
+                found.append(
+                    Rhombus(
+                        source=u,
+                        sink=v,
+                        left_apex=apex(twin[i]),
+                        right_apex=apex(i),
+                        median=(u, v),
+                    )
                 )
-            )
-    return tuple(out)
+    return tuple(sorted(found, key=lambda r: r.median))
 
 
 def hamiltonian_path(g: EmbeddedDigraph) -> Optional[tuple[VertexId, ...]]:

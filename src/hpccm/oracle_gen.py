@@ -154,15 +154,14 @@ def exhaustive_hamiltonian(g: EmbeddedDigraph, limit: int = 12) -> bool:
         )
     n = g.n
     target = g.t
-    out_nbrs = g.out_neighbors
     visited = [False] * n
     visited[g.s] = True
 
     def walk(v: int, count: int) -> bool:
         if v == target:
             return count == n
-        for w in out_nbrs[v]:
-            if not visited[w]:
+        for w in g.nbr[g.off[v] : g.off[v + 1]]:
+            if (v, w) in g.edges and not visited[w]:
                 visited[w] = True
                 if walk(w, count + 1):
                     return True
@@ -210,7 +209,7 @@ def _from_cycle(
         ((a, b) for (a, b) in chain([(0, n - 1)], oriented) if abs(a - b) != 1),
     )
     edges: set[tuple[int, int]] = set()
-    outdeg, deg = [0] * n, [0] * n
+    deg = [0] * n
     # Row p lists its neighbours q by increasing offset (q - p) mod n: the
     # slots sort by p * 2n + (q, or q + n when q < p), which also keeps q
     # recoverable as the key mod n.
@@ -221,32 +220,25 @@ def _from_cycle(
         if e in edges:
             continue
         edges.add(e)
-        outdeg[a] += 1
         deg[a] += 1
         deg[b] += 1
         keys.append(a * n2 + (b if b > a else b + n))
         keys.append(b * n2 + (a if a > b else a + n))
     keys.sort()
     nbr = array("i", map(n.__rmod__, keys))
-    del keys, pos
+    del keys
     off = array("i", accumulate(deg, initial=0))
-    rotation: list[tuple[int, ...]] = [()] * n
-    for p in range(n):
-        rotation[cycle[p]] = tuple(map(cycle.__getitem__, nbr[off[p] : off[p + 1]]))
-    g = EmbeddedDigraph(
-        names=tuple(names),
-        s=cycle[0],
-        t=cycle[t_at],
-        edges=frozenset(edges),
-        rotation=tuple(rotation),
-    )
+    rows = (map(cycle.__getitem__, nbr[off[p] : off[p + 1]]) for p in pos)
+    g = EmbeddedDigraph.from_rows(names, cycle[0], cycle[t_at], edges, rows)
     if validate:
         return classify_ot(g)
+    # Row p above is the base's row of vertex cycle[p], slot for slot.
+    out = b"".join(g.out[g.off[v] : g.off[v + 1]] for v in cycle)
     return OTStDigraph(
         base=g,
         left=tuple(cycle[1:t_at]),
         right=tuple(reversed(cycle[t_at + 1 :])),
-        arrays=OtArrays(cycle, t_at - 1, off, nbr, outdeg),
+        arrays=OtArrays(cycle, t_at - 1, off, nbr, out),
     )
 
 
@@ -312,16 +304,11 @@ def polygon_stack(count: int, validate: bool = True) -> OTStDigraph:
     names = ["s"] + [f"l{i}" for i in range(1, k + 1)] + [
         f"r{j}" for j in range(1, k + 1)
     ] + ["t"]
-    s = 0
-    t = 2 * k + 1
-    l = {i: i for i in range(1, k + 1)}
-    r = {j: k + j for j in range(1, k + 1)}
-    cycle = [s, *(l[i] for i in range(1, k + 1)), t, *(r[j] for j in range(k, 0, -1))]
-    heights = [0] * (2 * k + 2)
-    for i in range(1, k + 1):
-        heights[l[i]] = 2 * i - 1
-        heights[r[i]] = 2 * i
-    heights[t] = 2 * k + 1
+    # Vertex i is l_i and vertex k + j is r_j.
+    s, t = 0, 2 * k + 1
+    l, r = range(k + 1), range(k, 2 * k + 1)
+    cycle = [s, *range(1, k + 1), t, *range(2 * k, k, -1)]
+    heights = [0, *range(1, 2 * k, 2), *range(2, 2 * k + 1, 2), t]
     if k == 1:
         chords = [(s, t)]
     else:

@@ -260,7 +260,14 @@ def reconstruct(
 
 
 def solve(g: OTStDigraph, check: bool = True) -> HpCompletionResult:
-    """Decompose, run the DP and reconstruct; optionally self-verify."""
+    """Crossing-minimal acyclic hamiltonian path completion of ``g``.
+
+    The minimum is over the acyclic completions in which no edge of ``g``
+    is crossed twice (the paper's "at most one crossing per edge").  A
+    completion that crosses some edge twice can have fewer crossings; it
+    is not a candidate.  Decomposes, runs the DP and reconstructs; with
+    ``check`` the answer goes through :func:`verify_solution`.
+    """
     d = decompose(g)
     costs = all_costs(d)
     table = dp_solve(d, costs)
@@ -337,7 +344,10 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     path (the crossing-extended digraph is then acyclic); every crossing
     list matches exactly the graph edges forced to cross its completion
     edge, in geometric order; and no graph edge is crossed twice.
-    Violations are returned as messages, not raised.
+    Violations are returned as messages, not raised.  It does not check
+    minimality: the minimum :func:`solve` finds is over the completions
+    that cross no graph edge twice, and this is the contract a result
+    must meet.
 
     The edges forced to cross (a, b) join the open boundary arc A from a
     to b to the rest of the cycle, not to a or b.  They are counted as A's

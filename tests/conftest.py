@@ -194,8 +194,17 @@ def all_polygons_with_median(g: OTStDigraph, e) -> list[tuple]:
     return found
 
 
+def out_neighbors(g: EmbeddedDigraph) -> list[list[int]]:
+    """Each vertex's out-neighbours, in rotation order."""
+    return [
+        [w for w in g.nbr[g.off[v] : g.off[v + 1]] if (v, w) in g.edges]
+        for v in range(g.n)
+    ]
+
+
 def all_topo_orders(g: EmbeddedDigraph):
     n = g.n
+    outs = out_neighbors(g)
     indeg = [0] * n
     for (_, v) in g.edges:
         indeg[v] += 1
@@ -210,10 +219,10 @@ def all_topo_orders(g: EmbeddedDigraph):
             if indeg[v] == 0 and not placed[v]:
                 placed[v] = True
                 order.append(v)
-                for w in g.out_neighbors[v]:
+                for w in outs[v]:
                     indeg[w] -= 1
                 yield from rec()
-                for w in g.out_neighbors[v]:
+                for w in outs[v]:
                     indeg[w] += 1
                 order.pop()
                 placed[v] = False
@@ -270,19 +279,13 @@ def polygon_subgraph(ot: OTStDigraph, p: StPolygon) -> OTStDigraph:
         for (u, v) in base.edges
         if u in keep and v in keep
     )
-    rotation = []
+    rows = []
     for v in verts:
-        row = [w for w in base.rotation[v] if w in keep]
+        row = [w for w in base.nbr[base.off[v] : base.off[v + 1]] if w in keep]
         if v == p.source:
             i = row.index(p.left_chain[0])
             row = row[i:] + row[:i]
-        rotation.append(tuple(new_id[w] for w in row))
-    g = EmbeddedDigraph(
-        names=names,
-        s=new_id[p.source],
-        t=new_id[p.sink],
-        edges=edges,
-        rotation=tuple(rotation),
-    )
+        rows.append([new_id[w] for w in row])
+    g = EmbeddedDigraph.from_rows(names, new_id[p.source], new_id[p.sink], edges, rows)
     validate_embedded(g)
     return classify_ot(g)

@@ -83,14 +83,17 @@ class _Unreadable(tuple):
     def __iter__(self):
         raise AssertionError("rotation read after classification")
 
+    def __len__(self):
+        raise AssertionError("rotation read after classification")
+
 
 def test_ot_layers_read_no_rotations(corpus, pfp, stack3, f9):
     # After classify_ot the cycle positions are the only geometry: the
     # book embedding and the median tests give the same answers on a copy
-    # whose rotations cannot be read.
+    # whose rotation slots cannot be read.
     for ot in [*corpus[:40], pfp, stack3, f9]:
-        base = replace(ot.base, rotation=_Unreadable())
-        base.__dict__["_rot_pos"] = _Unreadable()
+        slots = dict.fromkeys(("off", "nbr", "out", "twin"), _Unreadable())
+        base = replace(ot.base, **slots)
         blind = OTStDigraph(base=base, left=ot.left, right=ot.right, arrays=ot.arrays)
         r = solve(ot)
         assert to_book_embedding(blind, r) == to_book_embedding(ot, r)

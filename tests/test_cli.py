@@ -115,12 +115,6 @@ def test_check_random_batch(capsys):
     assert " 0 " in out.splitlines()[1] or "0" in out.splitlines()[1].split()
 
 
-def test_bench_small(capsys):
-    assert run(["bench", "--sizes", "100,1000"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert len(out) == 3
-
-
 def test_missing_file_error(capsys):
     assert run(["solve", "/nonexistent/graph.json"]) == 1
     assert "error" in capsys.readouterr().err

@@ -9,7 +9,12 @@ from hpccm import (
     is_median,
     maximal_polygon,
 )
-from tests.conftest import all_polygons_with_median, brute_is_median, polygon_subgraph
+from tests.conftest import (
+    all_polygons_with_median,
+    brute_is_median,
+    out_neighbors,
+    polygon_subgraph,
+)
 
 
 def test_rhombus_median(rh):
@@ -184,6 +189,7 @@ def test_free_vertices_satisfy_junction_paths(corpus, pfp):
 
 def _reachability(g):
     n = g.n
+    outs = out_neighbors(g)
     reach = [[False] * n for _ in range(n)]
     for v in range(n):
         stack = [v]
@@ -192,7 +198,7 @@ def _reachability(g):
         while stack:
             x = stack.pop()
             reach[v][x] = True
-            for w in g.out_neighbors[x]:
+            for w in outs[x]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)

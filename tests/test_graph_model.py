@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -720,6 +721,26 @@ def test_serialize_round_trip(corpus):
         assert ot2.left == ot.left and ot2.right == ot.right
 
 
+def test_serialize_is_indented_json_dumps(corpus):
+    # The serializer writes json.dumps(..., indent=2) of the format object
+    # itself; names that need escapes are quoted the same way.
+    for ot in corpus[:40]:
+        g = ot.base
+        for names in (g.names, tuple(f'\u00e9"\\{x}\u2603 ' for x in g.names)):
+            h = replace(g, names=names)
+            data = {
+                "vertices": list(names),
+                "source": names[g.s],
+                "sink": names[g.t],
+                "edges": [[names[u], names[v]] for (u, v) in sorted(g.edges)],
+                "rotation": {
+                    names[v]: [names[w] for w in g.nbr[g.off[v] : g.off[v + 1]]]
+                    for v in range(g.n)
+                },
+            }
+            assert serialize_graph(h) == json.dumps(data, indent=2) + "\n"
+
+
 def test_edge_count_formula(corpus):
     for ot in corpus:
         n = ot.base.n
@@ -731,7 +752,7 @@ def test_rotation_blocks_single_runs(corpus):
     for ot in corpus[:40]:
         g = ot.base
         for v in range(g.n):
-            rot = g.rotation[v]
+            rot = g.nbr[g.off[v] : g.off[v + 1]]
             flags = [(v, w) in g.edges for w in rot]
             changes = sum(flags[i] != flags[i - 1] for i in range(len(rot)))
             assert changes in (0, 2)

@@ -1,3 +1,4 @@
+from array import array
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -107,24 +108,25 @@ def test_hamiltonicity_characterization_small(corpus):
     assert checked >= 50
 
 
-class _CountingDict(dict):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.lookups = 0
+class _CountingArray(array):
+    """A slot array that counts its item reads."""
+
+    reads = 0
 
     def __getitem__(self, key):
-        self.lookups += 1
+        _CountingArray.reads += 1
         return super().__getitem__(key)
 
 
 def test_find_rhombi_constant_lookups_per_edge(f9):
-    # One O(1) test per edge: three rotation-position lookups per side of
-    # an edge, plus one walk around the outer face.
-    g = replace(f9.base)  # a copy without cached properties
-    counting = tuple(_CountingDict(pos) for pos in f9.base._rot_pos)
-    g.__dict__["_rot_pos"] = counting
-    assert find_rhombi(g) == find_rhombi(f9.base)
-    assert sum(d.lookups for d in counting) <= 6 * g.m + g.n
+    # O(1) per edge: each face step reads one slot of ``twin`` and one of
+    # ``nbr``, and each slot is stepped from once in the face walk.
+    base = f9.base
+    slots = {name: _CountingArray("i", getattr(base, name)) for name in ("nbr", "twin")}
+    g = replace(base, **slots)
+    _CountingArray.reads = 0
+    assert find_rhombi(g) == find_rhombi(base)
+    assert 0 < _CountingArray.reads <= 6 * g.m + g.n
 
 
 def _interior_vertex_graph():

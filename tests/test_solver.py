@@ -1,12 +1,18 @@
+from functools import cache, reduce
+from itertools import combinations
+from operator import or_
+
 import pytest
 
 from hpccm import (
+    GenProfile,
     GraphError,
     StPolygon,
     all_costs,
     decompose,
     dp_solve,
     exhaustive_min_crossings,
+    random_ot,
     reconstruct,
     solve,
     verify_solution,
@@ -258,3 +264,41 @@ def test_oracle_polygon_limit(stack3):
     with pytest.raises(GraphError) as exc:
         exhaustive_min_crossings(stack3, max_polygons=2)
     assert exc.value.kind == "too-many-polygons"
+
+
+def test_minimum_is_over_completions_crossing_no_edge_twice():
+    # The problem's contract: the minimum is over acyclic completions in
+    # which no graph edge is crossed twice.  Every such completion's path
+    # is a topological order that merges the two boundary chains.  On this
+    # instance the best merge overall has 5 crossings but crosses some edge
+    # twice; the best one that crosses none twice, with no two added
+    # chords interleaving, has 6, and solve returns 6.
+    ot = random_ot(GenProfile(n_left=11, n_right=6, seed=429, polygon_bias=0))
+    g = ot.base
+    assert g.n == 19 and solve(ot).total_crossings == 6
+    cyc, n, edges = ot.cycle_pos, g.n, sorted(g.edges)
+
+    @cache
+    def crossed(ce) -> int:
+        """Bit mask of the graph edges a completion chord crosses."""
+        return sum(1 << k for k, e in enumerate(edges) if interleaves(cyc, n, ce, e))
+
+    inner = len(ot.left) + len(ot.right)
+    merges, best, best_ruled = 0, inner * len(edges), inner * len(edges)
+    for right_at in map(set, combinations(range(inner), len(ot.right))):
+        left, right = iter(ot.left), iter(ot.right)
+        chains = (next(right if i in right_at else left) for i in range(inner))
+        order = [g.s, *chains, g.t]
+        rank = {v: i for i, v in enumerate(order)}
+        if any(rank[u] > rank[v] for (u, v) in edges):
+            continue
+        merges += 1
+        ces = [(a, b) for a, b in zip(order, order[1:]) if (a, b) not in g.edges]
+        masks = [crossed(ce) for ce in ces]
+        total = sum(bin(x).count("1") for x in masks)
+        best = min(best, total)
+        once = sum(masks) == reduce(or_, masks, 0)  # no bit set twice
+        if once and not any(interleaves(cyc, n, a, b) for a, b in combinations(ces, 2)):
+            best_ruled = min(best_ruled, total)
+    assert merges == 12369
+    assert (best, best_ruled) == (5, 6)
