@@ -31,7 +31,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, mul, sub
+from operator import add, mul, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 VertexId = int
@@ -100,18 +100,21 @@ class EmbeddedDigraph:
             _check_rows(names, edges, off, nbr)
             raise
         # Dart v -> w is the number v * n + w.  The rows are right exactly
-        # when their slots hold distinct darts, those of the edges both ways.
+        # when their darts are distinct, each has its reverse, one of the two
+        # is an edge, and every edge is there.
         lens = map(sub, off[1:], off)
         tails = array("i", chain.from_iterable(map(repeat, range(n), lens)))
-        darts = list(map(add, map(mul, tails, repeat(n)), nbr))
-        slot_of = dict(zip(darts, count()))
-        forward = {u * n + v for (u, v) in edges}
-        backward = {v * n + u for (u, v) in edges}
-        if len(slot_of) != len(darts) or slot_of.keys() != forward | backward:
+        out = bytes(map(edges.__contains__, zip(tails, nbr)))
+        slot_of = dict(zip(map(add, map(mul, tails, repeat(n)), nbr), count()))
+        twin = list(map(slot_of.get, map(add, map(mul, nbr, repeat(n)), tails)))
+        if (
+            len(slot_of) != len(nbr)
+            or None in twin
+            or out.count(1) != len(edges)
+            or not all(map(or_, out, map(out.__getitem__, twin)))
+        ):
             _check_rows(names, edges, off, nbr)
-        reverse = map(add, map(mul, nbr, repeat(n)), tails)
-        twin = array("i", map(slot_of.__getitem__, reverse))
-        out = bytes(map(forward.__contains__, darts))
+        twin = array("i", twin)
         return cls(names, s, t, edges, off, nbr, out, twin)
 
     @property
@@ -330,8 +333,7 @@ def faces(g: EmbeddedDigraph) -> FaceSet:
     nbr, twin = g.nbr, g.twin
     edges = sorted(compress(count(), g.out), key=lambda i: (nbr[twin[i]], nbr[i]))
     walks = list(face_walks(g, edges + [twin[i] for i in edges]))
-    start = outer_slot(g)
-    outer = next((k for k, w in enumerate(walks) if start in w), -1)
+    outer = next((k for k, w in enumerate(walks) if outer_slot(g) in w), -1)
     darts = (tuple((nbr[twin[i]], nbr[i]) for i in w) for w in walks)
     return FaceSet(walks=tuple(darts), outer=outer)
 
@@ -573,22 +575,21 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
                 )
             right.append(u)
     left = tuple(reversed(left_rev[:-1]))  # drop s, appended when the walk closes
-    right_chain = tuple(right)
-    boundary = {g.s, g.t, *left, *right_chain}
-    if len(boundary) != g.n or len(left) + len(right_chain) + 2 != len(walk):
+    boundary = {g.s, g.t, *left, *right}
+    if len(boundary) != g.n or len(left) + len(right) + 2 != len(walk):
         inner = sorted(set(range(g.n)) - boundary)
         name = g.names[inner[0]] if inner else "?"
         raise GraphError(
             "not-outerplanar", f"vertex {name} does not lie on the outer face"
         )
-    if set(left) & set(right_chain):
+    if set(left) & set(right):
         raise GraphError("not-outerplanar", "boundary chains overlap")
     if g.m != 2 * g.n - 3:
         check_interior_triangles(g)
         raise GraphError(
             "non-triangular-face", f"{g.m} edges, a triangulation has {2 * g.n - 3}"
         )
-    return OTStDigraph(base=g, left=left, right=right_chain)
+    return OTStDigraph(base=g, left=left, right=tuple(right))
 
 
 def edge_sidedness(g: OTStDigraph, e: DirectedEdge) -> Sidedness:

@@ -1,6 +1,7 @@
 """The positional kernel: numpy against pure Python, kernel records against
 the record-level formulas, and the instance arrays themselves."""
 
+import random
 import sys
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 import hpccm.core as core
 import hpccm.solver as solver
 from hpccm import (
+    EmbeddedDigraph,
     GenProfile,
     HpCompletionResult,
     StPolygon,
@@ -104,6 +106,23 @@ def test_arrays_same_from_rotation_and_from_cycle():
         classified = polygon_stack(k).arrays
         for name in ("n", "k", "cyc", "off", "nbr", "out", "rank"):
             assert getattr(built, name) == getattr(classified, name), name
+
+
+def test_arrays_same_for_any_row_start(corpus):
+    # Rotations are cyclic: a base whose rows start anywhere (the source's
+    # still at its leftmost edge) relabels to the same positional arrays.
+    rng = random.Random(5)
+    for ot in corpus[:40]:
+        g = ot.base
+        rows = []
+        for v in range(g.n):
+            row = list(g.nbr[g.off[v] : g.off[v + 1]])
+            i = 0 if v == g.s else rng.randrange(len(row))
+            rows.append(row[i:] + row[:i])
+        turned = EmbeddedDigraph.from_rows(g.names, g.s, g.t, g.edges, rows)
+        arrays = classify_ot(turned).arrays
+        for name in ("cyc", "off", "nbr", "out", "rank"):
+            assert getattr(arrays, name) == getattr(ot.arrays, name), name
 
 
 def test_rank_is_topological_order(corpus):

@@ -185,6 +185,24 @@ MALFORMED = [
         "row-short",
     ),
     _case(
+        _variant(R, rows={"a": ["t", "b"]}),
+        "schema",
+        "rotation of 'a' does not list exactly its neighbours",
+        "row-wrong-entry",
+    ),
+    _case(
+        _variant(T, rows={"s": ["v"], "t": ["v"]}),
+        "schema",
+        "rotation of 's' does not list exactly its neighbours",
+        "edge-in-no-row",
+    ),
+    _case(
+        _variant(R, rows={"a": ["t", "b", "s"], "b": ["s", "a", "t"]}),
+        "schema",
+        "rotation of 'a' does not list exactly its neighbours",
+        "non-edge-in-rows",
+    ),
+    _case(
         _variant(T, rows={"x": []}),
         "schema",
         "rotation of unknown vertex 'x'",
