@@ -228,8 +228,8 @@ def _from_cycle(
     nbr = array("i", map(n.__rmod__, keys))
     del keys
     off = array("i", accumulate(deg, initial=0))
-    ids = array("i", map(cycle.__getitem__, nbr))
-    rows = (ids[off[p] : off[p + 1]] for p in pos)
+    rows = (map(cycle.__getitem__, nbr[off[p] : off[p + 1]]) for p in pos)
+    edges = frozenset(edges)  # the graph's own; the set is freed
     g = EmbeddedDigraph.from_rows(names, cycle[0], cycle[t_at], edges, rows)
     if validate:
         return classify_ot(g)
