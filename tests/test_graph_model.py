@@ -149,7 +149,10 @@ MALFORMED = [
         "duplicate-edge",
     ),
     _case(
-        _variant(T, rotation=[]), "schema", "rotation must be an object", "rotation-list"
+        _variant(T, rotation=[]),
+        "schema",
+        "rotation must be an object",
+        "rotation-list",
     ),
     _case(
         _variant(T, rotation={"s": ["v", "t"], "t": ["s", "v"]}),
@@ -158,7 +161,10 @@ MALFORMED = [
         "row-missing",
     ),
     _case(
-        _variant(T, rows={"v": 7}), "schema", "rotation of 'v' must be a list", "row-int"
+        _variant(T, rows={"v": 7}),
+        "schema",
+        "rotation of 'v' must be a list",
+        "row-int",
     ),
     _case(
         _variant(T, rows={"s": "vt"}),
@@ -248,6 +254,26 @@ MALFORMED = [
         "cyclic",
         "graph contains a directed cycle",
         "cyclic",
+    ),
+    _case(
+        json.dumps(
+            {
+                "vertices": ["s", "a", "b", "t"],
+                "source": "s",
+                "sink": "t",
+                "edges": [["s", "a"], ["a", "b"], ["b", "a"], ["b", "t"]],
+                "rotation": {"s": ["a"], "a": ["s", "b"], "b": ["a", "t"], "t": ["b"]},
+            }
+        ),
+        "cyclic",
+        "graph contains a directed cycle",
+        "two-cycle",
+    ),
+    _case(
+        _variant(T, edges=[["s", "v"], ["v", "t"], ["s", "t"], ["t", "v"]]),
+        "multi-sink",
+        "expected t as the unique sink, found []",
+        "antiparallel",
     ),
     _case(
         json.dumps(
