@@ -7,6 +7,7 @@ Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import Sequence
@@ -170,8 +171,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def run(argv: Sequence[str]) -> int:
-    """Parse arguments, dispatch, and map errors to exit codes."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing fills a new
+    namespace each time, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="hpccm",
         description=(
@@ -215,8 +218,12 @@ def run(argv: Sequence[str]) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bias", type=float, default=0.5)
     p.add_argument("-o", "--output")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def run(argv: Sequence[str]) -> int:
+    """Parse arguments, dispatch, and map errors to exit codes."""
+    args = _parser().parse_args(argv)
     handlers = {
         "validate": _cmd_validate,
         "decompose": _cmd_decompose,

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, mul, or_, sub
 from typing import Iterable, Iterator, Sequence
@@ -90,7 +90,6 @@ class EmbeddedDigraph:
         ``schema``, before any error raised while reading a later row.
         """
         names, edges = tuple(names), frozenset(edges)
-        n = len(names)
         off, nbr = array("i", [0]), array("i")
         try:
             for row in rows:
@@ -99,22 +98,26 @@ class EmbeddedDigraph:
         except GraphError:
             _check_rows(names, edges, off, nbr)
             raise
-        # Dart v -> w is the number v * n + w.  The rows are right exactly
-        # when their darts are distinct, each has its reverse, one of the two
-        # is an edge, and every edge is there.
-        lens = map(sub, off[1:], off)
-        tails = array("i", chain.from_iterable(map(repeat, range(n), lens)))
-        out = bytes(map(edges.__contains__, zip(tails, nbr)))
-        slot_of = dict(zip(map(add, map(mul, tails, repeat(n)), nbr), count()))
-        twin = list(map(slot_of.get, map(add, map(mul, nbr, repeat(n)), tails)))
-        if (
-            len(slot_of) != len(nbr)
-            or None in twin
-            or out.count(1) != len(edges)
-            or not all(map(or_, out, map(out.__getitem__, twin)))
-        ):
-            _check_rows(names, edges, off, nbr)
-        twin = array("i", twin)
+        return cls._from_slots(names, s, t, edges, off, nbr)
+
+    @classmethod
+    def _from_slots(
+        cls,
+        names: tuple[str, ...],
+        s: VertexId,
+        t: VertexId,
+        edges: frozenset[DirectedEdge],
+        off: array,
+        nbr: array,
+        ends: array | None = None,
+    ) -> EmbeddedDigraph:
+        """The graph with rows ``nbr[off[v]:off[v + 1]]``: pairs the twins
+        with numpy on large graphs, and in pure Python (which names the
+        error of wrong rows) otherwise or when numpy rejects the rows.
+        ``ends``, if given, lists the edges' ends (tail, head, tail, ...)."""
+        np = core.backend(len(names))
+        paired = None if np is None else _pair_np(np, len(names), edges, off, nbr, ends)
+        out, twin = paired or _pair_py(names, edges, off, nbr)
         return cls(names, s, t, edges, off, nbr, out, twin)
 
     @property
@@ -128,6 +131,12 @@ class EmbeddedDigraph:
     @cached_property
     def id_of(self) -> dict[str, VertexId]:
         return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def kahn(self) -> tuple[array, bool]:
+        """:func:`kahn_order` of the graph, run once for validation and
+        the hamiltonian path."""
+        return kahn_order(self)
 
     def name_edge(self, e: DirectedEdge) -> str:
         return f"{self.names[e[0]]}->{self.names[e[1]]}"
@@ -149,6 +158,68 @@ def _check_rows(names: tuple[str, ...], edges: frozenset, off: array, nbr: array
         else:
             continue
         raise GraphError("schema", message)
+
+
+def _pair_py(
+    names: tuple[str, ...], edges: frozenset, off: array, nbr: array
+) -> tuple[bytes, array]:
+    """Out flags and twin slots of the rows; raises ``schema`` (see
+    :func:`_check_rows`) when they are wrong.  The reference pairing."""
+    n = len(names)
+    # Dart v -> w is the number v * n + w.  The rows are right exactly
+    # when their darts are distinct, each has its reverse, one of the two
+    # is an edge, and every edge is there.
+    lens = map(sub, off[1:], off)
+    tails = array("i", chain.from_iterable(map(repeat, range(n), lens)))
+    out = bytes(map(edges.__contains__, zip(tails, nbr)))
+    slot_of = dict(zip(map(add, map(mul, tails, repeat(n)), nbr), count()))
+    twin = list(map(slot_of.get, map(add, map(mul, nbr, repeat(n)), tails)))
+    if (
+        len(slot_of) != len(nbr)
+        or None in twin
+        or out.count(1) != len(edges)
+        or not all(map(or_, out, map(out.__getitem__, twin)))
+    ):
+        _check_rows(names, edges, off, nbr)
+    return out, array("i", twin)
+
+
+def _pair_np(np, n: int, edges: frozenset, off: array, nbr: array, ends=None):
+    """What :func:`_pair_py` returns, from sorted dart keys, or None where
+    it would raise: each dart's twin is found by ``searchsorted`` of its
+    reverse key, and its out flag by the same lookup among edge keys."""
+    m, slots = len(edges), len(nbr)
+    if len(off) != n + 1 or not slots or not m:
+        return None
+    head = np.frombuffer(nbr, dtype=np.intc)
+    if ends is None:
+        ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * m)
+    else:
+        ends = np.frombuffer(ends, dtype=np.intc).astype(np.int64)
+    if min(head.min(), ends.min()) < 0 or max(head.max(), ends.max()) >= n:
+        return None
+    tail = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
+    key = tail * n + head
+    order = np.argsort(key)
+    sorted_key = key[order]
+    if (sorted_key[1:] == sorted_key[:-1]).any():
+        return None
+    reverse = head * np.int64(n) + tail
+    del tail
+    at = np.searchsorted(sorted_key, reverse)
+    np.minimum(at, slots - 1, out=at)
+    if (sorted_key[at] != reverse).any():
+        return None
+    del sorted_key, reverse
+    twin = order[at].astype(np.intc)
+    del order, at
+    edge_key = np.sort(ends[0::2] * n + ends[1::2])
+    at = np.searchsorted(edge_key, key)
+    np.minimum(at, m - 1, out=at)
+    out = edge_key[at] == key
+    if np.count_nonzero(out) != m or not (out | out[twin]).all():
+        return None
+    return out.tobytes(), array("i", twin.tobytes())
 
 
 @dataclass(frozen=True)
@@ -259,11 +330,83 @@ def _arrays_from_rotation(g: OTStDigraph) -> OtArrays:
     neighbours above its position ascending and then those below
     ascending, and no two edges may cross as chords of the cycle.  Then
     m = 2n - 3 (checked by :func:`classify_ot`) holds exactly when every
-    interior face is a triangle.
+    interior face is a triangle.  Large instances are relabelled with
+    numpy; when that finds a fault, the pure-Python relabelling runs again
+    to name it.
     """
     base = g.base
-    n = base.n
     cyc = [base.s, *g.left, base.t, *reversed(g.right)]
+    np = core.backend(base.n)
+    arrays = _arrays_np(np, base, cyc, len(g.left)) if np is not None else None
+    return arrays or _arrays_py(base, cyc, len(g.left))
+
+
+def _arrays_np(np, base: EmbeddedDigraph, cyc: list[VertexId], k: int):
+    """What :func:`_arrays_py` returns, or None where it would raise.
+
+    All slots are relabelled by cycle position and each row is rotated to
+    its cycle successor by one gather.  Both checks are then one balanced
+    bracket test over the rows read backwards, each up-slot opening its
+    edge and each down-slot closing one: an event's level is its depth,
+    and at every level the events, in order, must alternate open and
+    close, each close carrying its open's edge.
+    """
+    n, slots = base.n, len(base.nbr)
+    cycle = np.array(cyc, dtype=np.intc)
+    pos = np.empty(n, dtype=np.intc)
+    pos[cycle] = np.arange(n, dtype=np.intc)
+    boff = np.frombuffer(base.off, dtype=np.intc)
+    bdeg = np.diff(boff)
+    # Each base slot's neighbour position, and the slot of each row's
+    # cycle successor (rows list their neighbours once).
+    bnbr = pos[np.frombuffer(base.nbr, dtype=np.intc)]
+    owner = np.repeat(pos, bdeg)
+    succ = np.flatnonzero(bnbr == (owner + 1) % n)
+    start = np.full(n, -1, dtype=np.intc)
+    start[owner[succ]] = succ
+    if len(succ) != n or start.min() < 0:
+        return None
+    del owner, succ
+    deg = bdeg[cycle]
+    off = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(deg, out=off[1:])
+    row = np.repeat(np.arange(n, dtype=np.intc), deg)
+    index = np.arange(slots, dtype=np.intc)
+    row0 = boff[cycle][row]
+    src = row0 + (start[row] - row0 + index - off[row]) % deg[row]
+    del row0, start
+    nbr = bnbr[src]
+    out = np.frombuffer(base.out, dtype=np.uint8)[src]
+    del bnbr, src
+    # The events: rows in order, each read backwards.  A row that does not
+    # list its ups before its downs fails too: read backwards, one of its
+    # opens is followed at once by a close, of another edge.
+    back = off[row] + off[row + 1] - 1 - index
+    far, near = nbr[back], row[back]
+    opens = far > near
+    del back
+    depth = np.cumsum(np.where(opens, 1, -1), dtype=np.intc)
+    level = depth - opens
+    key = np.minimum(near, far).astype(np.int64) * n + np.maximum(near, far)
+    del depth, far, near
+    order = np.argsort(level, kind="stable")
+    level, opens, key = level[order], opens[order], key[order]
+    del order
+    rank = index - np.searchsorted(level, level)
+    is_close = rank % 2 == 1
+    if (opens == is_close).any():
+        return None
+    closes = np.flatnonzero(is_close)
+    if (key[closes] != key[closes - 1]).any():
+        return None
+    return OtArrays(
+        cyc, k, array("i", off.tobytes()), array("i", nbr.tobytes()), out.tobytes()
+    )
+
+
+def _arrays_py(base: EmbeddedDigraph, cyc: list[VertexId], k: int) -> OtArrays:
+    """:func:`_arrays_from_rotation` in pure Python, the reference."""
+    n = base.n
     pos = [0] * n
     for p, v in enumerate(cyc):
         pos[v] = p
@@ -290,7 +433,7 @@ def _arrays_from_rotation(g: OTStDigraph) -> OtArrays:
         nbr.extend(row)
         out += bout[o + i : e] + bout[o : o + i]
         off.append(len(nbr))
-    return OtArrays(cyc, len(g.left), off, nbr, out)
+    return OtArrays(cyc, k, off, nbr, out)
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +492,28 @@ def check_interior_triangles(g: EmbeddedDigraph) -> None:
             )
 
 
-def kahn_order(g: EmbeddedDigraph) -> tuple[list[VertexId], bool]:
+def kahn_order(g: EmbeddedDigraph) -> tuple[array, bool]:
     """Kahn elimination: the vertices in the order they are removed, and
     whether two vertices were ever ready at once.  The order is shorter
     than n exactly when the graph has a directed cycle, and it is the only
     topological order exactly when it is full and never ambiguous."""
-    off, nbr, out = g.off, g.nbr, g.out
-    indeg = Counter(compress(nbr, out))
-    ready = [v for v in range(g.n) if not indeg[v]]
-    order: list[VertexId] = []
+    n, off, nbr, out = g.n, g.off, g.nbr, g.out
+    indeg = [0] * n
+    for w in compress(nbr, out):
+        indeg[w] += 1
+    ready = [v for v in range(n) if not indeg[v]]
+    order = array("i")
     ambiguous = False
     while ready:
         ambiguous = ambiguous or len(ready) > 1
         v = ready.pop()
         order.append(v)
-        o, e = off[v], off[v + 1]
-        for w in compress(nbr[o:e], out[o:e]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
+        for i in range(off[v], off[v + 1]):
+            if out[i]:
+                w = nbr[i]
+                indeg[w] -= 1
+                if not indeg[w]:
+                    ready.append(w)
     return order, ambiguous
 
 
@@ -376,8 +522,71 @@ def validate_embedded(g: EmbeddedDigraph) -> None:
 
     Raises GraphError with kinds: too-small, multi-source, multi-sink,
     cyclic, non-consecutive-in-out, non-planar-rotation,
-    sink-not-on-outer-face.
+    sink-not-on-outer-face.  Large graphs are checked with numpy; when
+    that finds a fault, the pure-Python checks run again to name it.
     """
+    np = core.backend(g.n)
+    if np is None or not _valid_np(np, g):
+        _validate_py(g)
+
+
+def _valid_np(np, g: EmbeddedDigraph) -> bool:
+    """Whether :func:`_validate_py` passes, decided on the slot arrays.
+
+    Degrees by ``bincount``; a row's out-slots form one cyclic run exactly
+    when at most one out-slot is followed by an in-slot; and the faces are
+    the cycles of the permutation taking each slot to the next slot of its
+    face walk, each labelled with its least slot by pointer jumping in
+    log2(2m) rounds.
+    """
+    n, slots = g.n, len(g.nbr)
+    if n < 2 or len(g.off) != n + 1 or not slots:
+        return False
+    off = np.frombuffer(g.off, dtype=np.intc)
+    head = np.frombuffer(g.nbr, dtype=np.intc)
+    twin = np.frombuffer(g.twin, dtype=np.intc)
+    out = np.frombuffer(g.out, dtype=np.bool_)
+    if min(head.min(), twin.min()) < 0 or head.max() >= n or twin.max() >= slots:
+        return False
+    deg = np.diff(off)
+    tail = np.repeat(np.arange(n, dtype=np.intc), deg)
+    sources = np.flatnonzero(np.bincount(head[out], minlength=n) == 0)
+    sinks = np.flatnonzero(np.bincount(tail[out], minlength=n) == 0)
+    if sources.tolist() != [g.s] or sinks.tolist() != [g.t]:
+        return False
+    if len(g.kahn[0]) != n:
+        return False
+    full = deg > 0
+    first, last = off[:-1][full], off[1:][full] - 1
+    after = np.arange(1, slots + 1, dtype=np.intc)
+    after[last] = first
+    if np.bincount(tail[out & ~out[after]], minlength=n).max() > 1:
+        return False
+    if (tail[twin] != head).any():
+        return False  # a twin outside its head's row
+    del after, tail
+    before = np.arange(-1, slots - 1, dtype=np.intc)
+    before[first] = last
+    nxt = before[twin]  # the face walk's next slot
+    del before
+    if np.bincount(nxt, minlength=slots).max() > 1:
+        return False  # not a permutation
+    label = np.arange(slots, dtype=np.intc)
+    span = 1
+    while span < slots:
+        np.minimum(label, label[nxt], out=label)
+        nxt = nxt[nxt]
+        span *= 2
+    del nxt
+    face_count = np.count_nonzero(label == np.arange(slots, dtype=np.intc))
+    if n - g.m + face_count != 2:
+        return False
+    outer = label[off[g.s + 1] - 1]
+    return bool((head[label == outer] == g.t).any())
+
+
+def _validate_py(g: EmbeddedDigraph) -> None:
+    """:func:`validate_embedded` in pure Python, the reference."""
     n = g.n
     if n < 2:
         raise GraphError("too-small", "graph needs at least vertices s and t")
@@ -397,7 +606,7 @@ def validate_embedded(g: EmbeddedDigraph) -> None:
             f"expected {g.names[g.t]} as the unique sink, found "
             f"{[g.names[v] for v in sinks]}",
         )
-    if len(kahn_order(g)[0]) != n:
+    if len(g.kahn[0]) != n:
         raise GraphError("cyclic", "graph contains a directed cycle")
     for v in range(n):
         # The outgoing slots form one cyclic run exactly when at most one
@@ -454,12 +663,58 @@ def parse_graph(text: str) -> EmbeddedDigraph:
     if (
         not isinstance(names, list)
         or not names
-        or not all(isinstance(x, str) for x in names)
+        or not all(map(isinstance, names, repeat(str)))
     ):
         raise GraphError("schema", "vertices must be a non-empty list of names")
     if len(set(names)) != len(names):
         raise GraphError("schema", "duplicate vertex names")
     ids = {name: i for i, name in enumerate(names)}
+    np = core.backend(len(names))
+    g = _read_np(np, data, names, ids) if np is not None else None
+    if g is None:
+        g = _read_py(data, names, ids)
+    validate_embedded(g)
+    return g
+
+
+def _read_np(np, data: dict, names: list[str], ids: dict[str, int]):
+    """:func:`_read_py`'s graph, with the names mapped to ids in bulk, or
+    None where it would raise."""
+    get, edge_items, rot_obj = ids.__getitem__, data["edges"], data["rotation"]
+    if not (
+        isinstance(edge_items, list)
+        and all(map(isinstance, edge_items, repeat(list)))
+        and set(map(len, edge_items)) == {2}
+        and isinstance(rot_obj, dict)
+        and len(rot_obj) == len(names)
+    ):
+        return None
+    try:
+        # A name that is not a vertex raises KeyError, or TypeError when
+        # it is a list or an object.
+        s, t = get(data["source"]), get(data["sink"])
+        ends = array("i", list(map(get, chain.from_iterable(edge_items))))
+        rows = list(map(rot_obj.__getitem__, names))
+        if not all(map(isinstance, rows, repeat(list))):
+            return None
+        nbr = array("i", list(map(get, chain.from_iterable(rows))))
+    except (KeyError, TypeError):
+        return None
+    tails, heads = ends[0::2], ends[1::2]
+    if (np.frombuffer(tails, np.intc) == np.frombuffer(heads, np.intc)).any():
+        return None  # a self-loop
+    edges = frozenset(zip(tails, heads))
+    if len(edges) != len(edge_items):
+        return None  # a duplicate edge
+    off = array("i", [0])
+    off.extend(accumulate(map(len, rows)))
+    return EmbeddedDigraph._from_slots(tuple(names), s, t, edges, off, nbr, ends)
+
+
+def _read_py(data: dict, names: list[str], ids: dict[str, int]) -> EmbeddedDigraph:
+    """The graph of a format object whose vertex list is checked, before
+    :func:`validate_embedded`; raises the first ``schema`` error in file
+    order."""
 
     def vid(name: object, where: str) -> int:
         if not isinstance(name, str) or name not in ids:
@@ -498,7 +753,6 @@ def parse_graph(text: str) -> EmbeddedDigraph:
     if len(rot_obj) != len(names):
         extra = next(key for key in rot_obj if key not in ids)
         raise GraphError("schema", f"rotation of unknown vertex {extra!r}")
-    validate_embedded(g)
     return g
 
 
@@ -540,6 +794,11 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
     the interior faces are all triangles exactly when m = 2n - 3.
     """
     nbr, out, twin = g.nbr, g.out, g.twin
+    if g.off[g.s] == g.off[g.s + 1]:
+        raise GraphError(
+            "not-outerplanar",
+            f"source {g.names[g.s]} has no edge to fix the outer face",
+        )
     outer = next(face_walks(g, [outer_slot(g)]))
     # Rotate the cyclic walk to start at s, the tail of its first slot
     # (the head of the slot before).
@@ -629,3 +888,7 @@ def build_graph(
     if validate:
         validate_embedded(g)
     return g
+
+
+# Imported last: core imports GraphError and OtArrays from this module.
+from . import core  # noqa: E402

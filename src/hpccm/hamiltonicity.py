@@ -18,7 +18,6 @@ from .graph_model import (
     VertexId,
     check_interior_triangles,
     face_walks,
-    kahn_order,
     outer_slot,
 )
 
@@ -85,7 +84,7 @@ def hamiltonian_path(g: EmbeddedDigraph) -> Optional[tuple[VertexId, ...]]:
     The consecutive-edge check below is then redundant but guards the
     implementation.
     """
-    order, ambiguous = kahn_order(g)
+    order, ambiguous = g.kahn
     if ambiguous or len(order) != g.n:
         return None
     for a, b in zip(order, order[1:]):

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hpccm
 from hpccm import rhombus, serialize_graph, triangle, five_crossing_polygon
-from hpccm.cli import run
+from hpccm.cli import _parser, run
+
+SRC = str(Path(hpccm.__file__).resolve().parents[1])
 
 
 @pytest.fixture()
@@ -164,3 +171,26 @@ def test_embed_reports_invalid_solver_answer_as_internal(f9_file, capsys, monkey
         err = capsys.readouterr().err
         assert err.startswith("error [invalid-solution]: completion edge ")
         assert "crossing set mismatch; missing" in err
+
+
+def test_parser_reused_without_leaking_between_calls(f9_file, capsys):
+    # One parser serves every run() of a process; each call must still see
+    # only its own options and defaults, as a fresh process does.  The
+    # last column of check --random is its running time, left out.
+    commands = [
+        ["solve", f9_file],
+        ["check", "--random", "3", "--max-n", "10", "--seed", "4"],
+        ["gen", "--left", "3", "--right", "2", "--seed", "9"],
+        ["check", f9_file],
+    ]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    main = [sys.executable, "-c", "from hpccm.cli import main; main()"]
+    for argv in commands:
+        assert _parser() is _parser()
+        rc = run(argv)
+        got = capsys.readouterr()
+        fresh = subprocess.run([*main, *argv], capture_output=True, text=True, env=env)
+        got_out, fresh_out = got.out, fresh.stdout
+        if argv[1] == "--random":
+            got_out, fresh_out = (x.rsplit(None, 1)[0] for x in (got_out, fresh_out))
+        assert (rc, got_out, got.err) == (fresh.returncode, fresh_out, fresh.stderr)

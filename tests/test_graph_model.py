@@ -1,12 +1,18 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hpccm.core as core
+import hpccm.graph_model as gm
 from hpccm import (
     EmbeddedDigraph,
     GenProfile,
@@ -17,6 +23,7 @@ from hpccm import (
     edge_sidedness,
     faces,
     parse_graph,
+    polygon_stack,
     random_ot,
     serialize_graph,
 )
@@ -440,6 +447,12 @@ UNVALIDATED = [
         "8 edges, a triangulation has 9",
         "edge-count",
     ),
+    _case(
+        _variant(T, edges=[], rows={"s": [], "v": [], "t": []}),
+        "not-outerplanar",
+        "source s has no edge to fix the outer face",
+        "source-row-empty",
+    ),
 ]
 
 
@@ -496,10 +509,12 @@ def _single_mutations(corpus, count: int, seed: int):
         yield json.dumps(data)
 
 
-def test_single_mutation_sweep_errors_pinned(corpus):
-    # The (kind, message) of 200 single edits of corpus files, as one
-    # digest: any change to which check fires first, or to its wording,
-    # changes it.
+SWEEP_DIGEST = "3f2a0adaf1bc3544ea97d1b6674bad08a68aed6528deaf481b2e3fc070ad1585"
+
+
+def _sweep(corpus) -> tuple[set[str], str]:
+    """The kinds met and the digest of the (kind, message) outcomes of 200
+    single edits of corpus files."""
     outcomes = []
     for text in _single_mutations(corpus[:60], 200, seed=6):
         try:
@@ -508,11 +523,16 @@ def test_single_mutation_sweep_errors_pinned(corpus):
         except GraphError as exc:
             outcomes.append([exc.kind, str(exc)])
     kinds = {kind for kind, _ in outcomes}
+    return kinds, hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+
+
+def test_single_mutation_sweep_errors_pinned(corpus):
+    # The (kind, message) of 200 single edits of corpus files, as one
+    # digest: any change to which check fires first, or to its wording,
+    # changes it.
+    kinds, digest = _sweep(corpus)
     assert len(kinds) >= 8, kinds
-    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
-    assert digest == (
-        "3f2a0adaf1bc3544ea97d1b6674bad08a68aed6528deaf481b2e3fc070ad1585"
-    )
+    assert digest == SWEEP_DIGEST
 
 
 _NAMES = st.sampled_from(["s", "v", "t", "x"])
@@ -812,3 +832,77 @@ def test_euler_formula_on_random_instances(k, m, seed):
     ot = random_ot(GenProfile(n_left=k, n_right=m, polygon_bias=0.5, seed=seed))
     g = ot.base
     assert g.n - g.m + len(faces(g).walks) == 2
+
+
+# ---------------------------------------------------------------------------
+# The numpy load path against the pure-Python one
+
+
+def _pure_path_fails(*args):
+    raise AssertionError("the pure-Python load path ran")
+
+
+def test_numpy_load_matches_pure(kernel_corpus, monkeypatch):
+    # With the threshold at 0 every graph loads through numpy, which must
+    # accept each valid file itself and give the pure path's arrays.
+    pytest.importorskip("numpy")
+    draws = (GenProfile(700, 900, polygon_bias=b, seed=11) for b in (0, 0.5, 1))
+    instances = [*kernel_corpus, *map(random_ot, draws)]
+    texts = [serialize_graph(ot.base) for ot in instances]
+    pure = [classify_ot(parse_graph(text)) for text in texts]
+    stacks = [polygon_stack(k, validate=False) for k in range(1, 9)]
+    monkeypatch.setattr(core, "NUMPY_MIN_N", 0)
+    for name in ("_read_py", "_pair_py", "_validate_py", "_arrays_py"):
+        monkeypatch.setattr(gm, name, _pure_path_fails)
+    for text, ref in zip(texts, pure):
+        ot = classify_ot(parse_graph(text))
+        for name in ("off", "nbr", "out", "twin", "edges"):
+            assert getattr(ot.base, name) == getattr(ref.base, name), name
+        for name in gm.OtArrays.__slots__:
+            assert getattr(ot.arrays, name) == getattr(ref.arrays, name), name
+    for k, ref in enumerate(stacks, 1):
+        ot = polygon_stack(k)  # built through from_rows and classify_ot
+        assert ot.base == ref.base
+        for name in gm.OtArrays.__slots__:
+            assert getattr(ot.arrays, name) == getattr(ref.arrays, name), name
+
+
+def test_numpy_load_names_the_same_errors(corpus, monkeypatch):
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(core, "NUMPY_MIN_N", 0)
+    for case in MALFORMED:
+        text, kind, message = case.values
+        with pytest.raises(GraphError) as exc:
+            classify_ot(parse_graph(text))
+        assert (exc.value.kind, str(exc.value)) == (kind, message), case.id
+    for case in UNVALIDATED:
+        text, kind, message = case.values
+        data = json.loads(text)
+        g = build_graph(*(data[key] for key in _FORMAT_KEYS), validate=False)
+        with pytest.raises(GraphError) as exc:
+            classify_ot(g)
+        assert (exc.value.kind, str(exc.value)) == (kind, message), case.id
+    assert _sweep(corpus)[1] == SWEEP_DIGEST
+
+
+def test_small_instances_leave_numpy_unimported():
+    # numpy costs about 10 MiB of memory; below the threshold the whole
+    # user path runs without importing it.
+    code = (
+        "import sys\n"
+        "from hpccm import classify_ot, parse_graph, polygon_stack, "
+        "serialize_graph, solve, to_book_embedding\n"
+        "from hpccm.core import NUMPY_MIN_N\n"
+        "ot = polygon_stack(NUMPY_MIN_N // 2 - 2, validate=False)\n"
+        "text = serialize_graph(ot.base)\n"
+        "ot = classify_ot(parse_graph(text))\n"
+        "assert ot.n == NUMPY_MIN_N - 2\n"
+        "to_book_embedding(ot, solve(ot))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(gm.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
