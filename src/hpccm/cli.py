@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 invalid input, 2 internal verification failure.
+0 success, 1 invalid input (a usage error included), 2 internal
+verification failure.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ def _cmd_check_file(args: argparse.Namespace) -> int:
 def _cmd_check_random(args: argparse.Namespace) -> int:
     import random
 
+    if args.random < 0 or args.max_n < 4 or args.max_polygons < 0:
+        # The smallest draw has n = 4; a negative bound would skip them all.
+        print(
+            "check: need --random N >= 0, --max-n >= 4 and --max-polygons >= 0",
+            file=sys.stderr,
+        )
+        return 1
     rng = random.Random(args.seed)
     checked = mismatches = skipped = 0
     max_polys = 0
@@ -143,14 +151,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     ot = _load_ot(args.file)
     b = be.to_book_embedding(ot, sv.solve(ot, check=False))  # it verifies
-    svg = be.render_svg(b)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(svg)
-    return 0
+    return _write(be.render_svg(b), args.output)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -160,22 +161,34 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         polygon_bias=args.bias,
         seed=args.seed,
     )
-    ot = og.random_ot(prof)
-    text = gm.serialize_graph(ot.base)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    return _write(gm.serialize_graph(og.random_ot(prof).base), args.output)
+
+
+def _write(text: str, output: str | None) -> int:
+    """Write ``text`` to the file ``output``, or to stdout without one."""
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
+        print(f"wrote {output}", file=sys.stderr)
     else:
         sys.stdout.write(text)
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as invalid input,
+    rather than argparse's 2, which here means a verification failure."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing fills a new
     namespace each time, so calls share no state."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hpccm",
         description=(
             "Crossing-minimal acyclic hamiltonian path completion and "

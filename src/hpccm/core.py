@@ -8,8 +8,8 @@ these columns on first read.
 
 Two interchangeable implementations run each bulk step: a numpy one for
 large instances and a pure-Python one, which is the reference and serves
-small instances and installs without numpy.  :func:`backend` picks one
-from the instance size alone.
+small instances and installs without numpy.
+:func:`~hpccm.graph_model.backend` picks one from the instance size alone.
 
 Facts about an OT-st-digraph the kernel relies on, per row (clockwise from
 the cycle successor):
@@ -31,24 +31,6 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .graph_model import GraphError, OtArrays
-
-# The pure-Python kernel costs up to ~4.5 us per vertex (on polygon
-# stacks, its slowest family) and importing numpy ~60 ms: from this many
-# vertices on, the numpy kernel repays its import on a single instance.
-NUMPY_MIN_N = 15_000
-
-
-def backend(n: int):
-    """The numpy module when ``n`` is large and numpy is installed (the
-    ``fast`` extra), else None.  numpy is imported on the first large
-    instance only, so small ones never pay for it."""
-    if n < NUMPY_MIN_N:
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
 
 
 class Deferred:

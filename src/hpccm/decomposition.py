@@ -25,20 +25,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .core import (
-    Deferred,
-    Layout,
-    backend,
-    decompose_arrays,
-    is_median_slot,
-    polygon_columns,
-)
-from .graph_model import (
-    DirectedEdge,
-    GraphError,
-    OTStDigraph,
-    VertexId,
-)
+from .core import Deferred, Layout, decompose_arrays, is_median_slot, polygon_columns
+from .graph_model import DirectedEdge, GraphError, OTStDigraph, VertexId, backend
 
 
 class StPolygon(NamedTuple):

@@ -31,12 +31,31 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, mul, or_, sub
+from operator import add, eq, mul, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 VertexId = int
 DirectedEdge = tuple[VertexId, VertexId]
 Dart = tuple[VertexId, VertexId]
+
+# The pure-Python kernel costs up to ~4.5 us per vertex (on polygon
+# stacks, its slowest family) and importing numpy ~60 ms: from this many
+# vertices on, the numpy kernel repays its import on a single instance.
+NUMPY_MIN_N = 15_000
+
+
+def backend(n: int):
+    """The numpy module when ``n`` is large and numpy is installed (the
+    ``fast`` extra), else None.  numpy is imported on the first large
+    instance only, so small ones never pay for it.  Every bulk step, here
+    and in the kernel, picks its implementation by this alone."""
+    if n < NUMPY_MIN_N:
+        return None
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 class GraphError(ValueError):
@@ -98,7 +117,8 @@ class EmbeddedDigraph:
         except GraphError:
             _check_rows(names, edges, off, nbr)
             raise
-        return cls._from_slots(names, s, t, edges, off, nbr)
+        ends = array("i", chain.from_iterable(edges))
+        return cls._from_slots(names, s, t, edges, off, nbr, ends)
 
     @classmethod
     def _from_slots(
@@ -109,13 +129,13 @@ class EmbeddedDigraph:
         edges: frozenset[DirectedEdge],
         off: array,
         nbr: array,
-        ends: array | None = None,
+        ends: array,
     ) -> EmbeddedDigraph:
         """The graph with rows ``nbr[off[v]:off[v + 1]]``: pairs the twins
         with numpy on large graphs, and in pure Python (which names the
         error of wrong rows) otherwise or when numpy rejects the rows.
-        ``ends``, if given, lists the edges' ends (tail, head, tail, ...)."""
-        np = core.backend(len(names))
+        ``ends`` lists the edges' ends (tail, head, tail, ...)."""
+        np = backend(len(names))
         paired = None if np is None else _pair_np(np, len(names), edges, off, nbr, ends)
         out, twin = paired or _pair_py(names, edges, off, nbr)
         return cls(names, s, t, edges, off, nbr, out, twin)
@@ -184,7 +204,7 @@ def _pair_py(
     return out, array("i", twin)
 
 
-def _pair_np(np, n: int, edges: frozenset, off: array, nbr: array, ends=None):
+def _pair_np(np, n: int, edges: frozenset, off: array, nbr: array, ends: array):
     """What :func:`_pair_py` returns, from sorted dart keys, or None where
     it would raise: each dart's twin is found by ``searchsorted`` of its
     reverse key, and its out flag by the same lookup among edge keys."""
@@ -192,10 +212,7 @@ def _pair_np(np, n: int, edges: frozenset, off: array, nbr: array, ends=None):
     if len(off) != n + 1 or not slots or not m:
         return None
     head = np.frombuffer(nbr, dtype=np.intc)
-    if ends is None:
-        ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * m)
-    else:
-        ends = np.frombuffer(ends, dtype=np.intc).astype(np.int64)
+    ends = np.frombuffer(ends, dtype=np.intc).astype(np.int64)
     if min(head.min(), ends.min()) < 0 or max(head.max(), ends.max()) >= n:
         return None
     tail = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
@@ -290,26 +307,27 @@ class OtArrays:
 
 @dataclass(frozen=True)
 class OTStDigraph:
-    """Validated outerplanar triangulated st-digraph.
-
-    ``left`` and ``right`` are the boundary chains bottom-to-top, excluding
-    the source and sink (which by convention belong to both sides).
-    ``arrays`` holds the positional form of the instance; it is built from
-    the rotations when not supplied.
-    """
+    """Validated outerplanar triangulated st-digraph: the embedded graph
+    and its positional form ``arrays``, whose boundary cycle holds the
+    chains."""
 
     base: EmbeddedDigraph
-    left: tuple[VertexId, ...]
-    right: tuple[VertexId, ...]
-    arrays: OtArrays = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.arrays is None:
-            object.__setattr__(self, "arrays", _arrays_from_rotation(self))
+    arrays: OtArrays = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.base.n
+
+    @property
+    def left(self) -> tuple[VertexId, ...]:
+        """The left boundary chain bottom to top, without the source and
+        sink (which by convention belong to both sides)."""
+        return tuple(self.arrays.cyc[1 : self.arrays.k + 1])
+
+    @property
+    def right(self) -> tuple[VertexId, ...]:
+        """The right boundary chain bottom to top, likewise."""
+        return tuple(reversed(self.arrays.cyc[self.arrays.k + 2 :]))
 
     @cached_property
     def cycle_pos(self) -> tuple[int, ...]:
@@ -321,9 +339,10 @@ class OTStDigraph:
         return tuple(pos)
 
 
-def _arrays_from_rotation(g: OTStDigraph) -> OtArrays:
-    """Positional arrays of an instance: the base's slot rows relabelled
-    by cycle position, each rotated to start at the cycle successor.
+def _arrays_from_rotation(g: EmbeddedDigraph, cyc: list[VertexId], k: int) -> OtArrays:
+    """Positional arrays of a graph with boundary cycle ``cyc`` and k
+    left-chain vertices: its slot rows relabelled by cycle position, each
+    rotated to start at the cycle successor.
 
     Also checks, without relying on :func:`validate_embedded`, that the
     rotations are an outerplanar embedding: each rotated row must list the
@@ -334,11 +353,9 @@ def _arrays_from_rotation(g: OTStDigraph) -> OtArrays:
     numpy; when that finds a fault, the pure-Python relabelling runs again
     to name it.
     """
-    base = g.base
-    cyc = [base.s, *g.left, base.t, *reversed(g.right)]
-    np = core.backend(base.n)
-    arrays = _arrays_np(np, base, cyc, len(g.left)) if np is not None else None
-    return arrays or _arrays_py(base, cyc, len(g.left))
+    np = backend(g.n)
+    arrays = _arrays_np(np, g, cyc, k) if np is not None else None
+    return arrays or _arrays_py(g, cyc, k)
 
 
 def _arrays_np(np, base: EmbeddedDigraph, cyc: list[VertexId], k: int):
@@ -525,7 +542,7 @@ def validate_embedded(g: EmbeddedDigraph) -> None:
     sink-not-on-outer-face.  Large graphs are checked with numpy; when
     that finds a fault, the pure-Python checks run again to name it.
     """
-    np = core.backend(g.n)
+    np = backend(g.n)
     if np is None or not _valid_np(np, g):
         _validate_py(g)
 
@@ -669,15 +686,12 @@ def parse_graph(text: str) -> EmbeddedDigraph:
     if len(set(names)) != len(names):
         raise GraphError("schema", "duplicate vertex names")
     ids = {name: i for i, name in enumerate(names)}
-    np = core.backend(len(names))
-    g = _read_np(np, data, names, ids) if np is not None else None
-    if g is None:
-        g = _read_py(data, names, ids)
+    g = _read_bulk(data, names, ids) or _read_py(data, names, ids)
     validate_embedded(g)
     return g
 
 
-def _read_np(np, data: dict, names: list[str], ids: dict[str, int]):
+def _read_bulk(data: dict, names: list[str], ids: dict[str, int]):
     """:func:`_read_py`'s graph, with the names mapped to ids in bulk, or
     None where it would raise."""
     get, edge_items, rot_obj = ids.__getitem__, data["edges"], data["rotation"]
@@ -693,21 +707,23 @@ def _read_np(np, data: dict, names: list[str], ids: dict[str, int]):
         # A name that is not a vertex raises KeyError, or TypeError when
         # it is a list or an object.
         s, t = get(data["source"]), get(data["sink"])
-        ends = array("i", list(map(get, chain.from_iterable(edge_items))))
+        ends = list(map(get, chain.from_iterable(edge_items)))
         rows = list(map(rot_obj.__getitem__, names))
         if not all(map(isinstance, rows, repeat(list))):
             return None
         nbr = array("i", list(map(get, chain.from_iterable(rows))))
     except (KeyError, TypeError):
         return None
+    # The edge tuples share the ids' int objects, as the graph keeps them.
     tails, heads = ends[0::2], ends[1::2]
-    if (np.frombuffer(tails, np.intc) == np.frombuffer(heads, np.intc)).any():
+    if any(map(eq, tails, heads)):
         return None  # a self-loop
     edges = frozenset(zip(tails, heads))
     if len(edges) != len(edge_items):
         return None  # a duplicate edge
     off = array("i", [0])
     off.extend(accumulate(map(len, rows)))
+    ends = array("i", ends)
     return EmbeddedDigraph._from_slots(tuple(names), s, t, edges, off, nbr, ends)
 
 
@@ -848,7 +864,8 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
         raise GraphError(
             "non-triangular-face", f"{g.m} edges, a triangulation has {2 * g.n - 3}"
         )
-    return OTStDigraph(base=g, left=left, right=tuple(right))
+    cyc = [g.s, *left, g.t, *reversed(right)]
+    return OTStDigraph(base=g, arrays=_arrays_from_rotation(g, cyc, len(left)))
 
 
 def edge_sidedness(g: OTStDigraph, e: DirectedEdge) -> Sidedness:
@@ -888,7 +905,3 @@ def build_graph(
     if validate:
         validate_embedded(g)
     return g
-
-
-# Imported last: core imports GraphError and OtArrays from this module.
-from . import core  # noqa: E402

@@ -235,12 +235,7 @@ def _from_cycle(
         return classify_ot(g)
     # Row p above is the base's row of vertex cycle[p], slot for slot.
     out = b"".join(g.out[g.off[v] : g.off[v + 1]] for v in cycle)
-    return OTStDigraph(
-        base=g,
-        left=tuple(cycle[1:t_at]),
-        right=tuple(reversed(cycle[t_at + 1 :])),
-        arrays=OtArrays(cycle, t_at - 1, off, nbr, out),
-    )
+    return OTStDigraph(base=g, arrays=OtArrays(cycle, t_at - 1, off, nbr, out))
 
 
 def triangle() -> OTStDigraph:

@@ -33,7 +33,6 @@ from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
-    NUMPY_MIN_N,
     Deferred,
     Layout,
     backtrack,
@@ -44,7 +43,14 @@ from .core import (
     hop_crossings,
 )
 from .decomposition import Decomposition, decompose
-from .graph_model import DirectedEdge, GraphError, OtArrays, OTStDigraph, VertexId
+from .graph_model import (
+    NUMPY_MIN_N,
+    DirectedEdge,
+    GraphError,
+    OtArrays,
+    OTStDigraph,
+    VertexId,
+)
 
 Side = str  # 'L' or 'R'
 

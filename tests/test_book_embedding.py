@@ -94,7 +94,7 @@ def test_ot_layers_read_no_rotations(corpus, pfp, stack3, f9):
     for ot in [*corpus[:40], pfp, stack3, f9]:
         slots = dict.fromkeys(("off", "nbr", "out", "twin"), _Unreadable())
         base = replace(ot.base, **slots)
-        blind = OTStDigraph(base=base, left=ot.left, right=ot.right, arrays=ot.arrays)
+        blind = OTStDigraph(base=base, arrays=ot.arrays)
         r = solve(ot)
         assert to_book_embedding(blind, r) == to_book_embedding(ot, r)
         for e in sorted(ot.base.edges):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,47 @@ def test_check_random_batch(capsys):
     out = capsys.readouterr().out
     assert "mismatches" in out
     assert " 0 " in out.splitlines()[1] or "0" in out.splitlines()[1].split()
+
+
+def test_check_random_rejects_limits_it_cannot_meet(capsys):
+    # No draw has fewer than 4 vertices or a negative polygon count, and a
+    # negative batch is no batch: each fails at once with exit 1 and one
+    # line.  --max-polygons -1 used to loop forever, so that call is timed.
+    done = []
+    argv = ["check", "--random", "2", "--max-polygons", "-1"]
+    worker = threading.Thread(target=lambda: done.append(run(argv)), daemon=True)
+    worker.start()
+    worker.join(10)
+    assert done == [1]
+    outputs = [capsys.readouterr()]
+    for argv in (
+        ["check", "--random", "2", "--max-n", "3"],
+        ["check", "--random", "-1"],
+    ):
+        assert run(argv) == 1
+        outputs.append(capsys.readouterr())
+    for got in outputs:
+        assert got.out == "" and got.err.count("\n") == 1
+        assert got.err.startswith("check: need --random N >= 0, --max-n >= 4")
+
+
+def test_usage_errors_exit_1_and_help_0():
+    # Exit status 2 is kept for verification failures; a usage error is
+    # invalid input like any other.
+    env = {**os.environ, "PYTHONPATH": SRC}
+    main = [sys.executable, "-c", "from hpccm.cli import main; main()"]
+    for argv, rc in (
+        (["solve"], 1),
+        (["check", "--random", "x"], 1),
+        (["--help"], 0),
+        (["check", "--help"], 0),
+    ):
+        done = subprocess.run([*main, *argv], capture_output=True, text=True, env=env)
+        assert done.returncode == rc, argv
+        if rc:
+            assert done.stdout == "" and "error:" in done.stderr
+        else:
+            assert done.stdout.startswith("usage: hpccm") and done.stderr == ""
 
 
 def test_missing_file_error(capsys):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-import hpccm.core as core
+import hpccm.graph_model as gm
 import hpccm.solver as solver
 from hpccm import (
     EmbeddedDigraph,
@@ -87,17 +87,17 @@ def test_kernel_path_matches_record_construction(kernel_corpus):
 def test_pure_kernel_without_numpy(monkeypatch):
     # Without numpy every size runs the pure-Python kernel.
     monkeypatch.setitem(sys.modules, "numpy", None)
-    ot = polygon_stack(core.NUMPY_MIN_N)
+    ot = polygon_stack(gm.NUMPY_MIN_N)
     d = decompose(ot)
     assert d.layout.np is None
-    assert solve(ot, check=False).total_crossings == core.NUMPY_MIN_N
+    assert solve(ot, check=False).total_crossings == gm.NUMPY_MIN_N
 
 
 def test_backend_chosen_by_size():
     np = pytest.importorskip("numpy")
-    assert core.backend(core.NUMPY_MIN_N - 1) is None
-    assert core.backend(core.NUMPY_MIN_N) is np
-    assert decompose(polygon_stack(core.NUMPY_MIN_N)).layout.np is np
+    assert gm.backend(gm.NUMPY_MIN_N - 1) is None
+    assert gm.backend(gm.NUMPY_MIN_N) is np
+    assert decompose(polygon_stack(gm.NUMPY_MIN_N)).layout.np is np
 
 
 def test_arrays_same_from_rotation_and_from_cycle():

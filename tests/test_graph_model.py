@@ -4,14 +4,13 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hpccm.core as core
 import hpccm.graph_model as gm
 from hpccm import (
     EmbeddedDigraph,
@@ -694,6 +693,11 @@ def test_classify_triangle_chains(tri):
     assert chains == {("v",), ()}
 
 
+def test_chains_stored_once_on_the_cycle():
+    # The chains are ranges of the boundary cycle, not fields of their own.
+    assert [f.name for f in fields(gm.OTStDigraph)] == ["base", "arrays"]
+
+
 def test_interior_vertex_rejected():
     # Wheel: hub c inside triangle s,a,t; planar st-digraph but not
     # outerplanar.
@@ -851,7 +855,7 @@ def test_numpy_load_matches_pure(kernel_corpus, monkeypatch):
     texts = [serialize_graph(ot.base) for ot in instances]
     pure = [classify_ot(parse_graph(text)) for text in texts]
     stacks = [polygon_stack(k, validate=False) for k in range(1, 9)]
-    monkeypatch.setattr(core, "NUMPY_MIN_N", 0)
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
     for name in ("_read_py", "_pair_py", "_validate_py", "_arrays_py"):
         monkeypatch.setattr(gm, name, _pure_path_fails)
     for text, ref in zip(texts, pure):
@@ -869,7 +873,7 @@ def test_numpy_load_matches_pure(kernel_corpus, monkeypatch):
 
 def test_numpy_load_names_the_same_errors(corpus, monkeypatch):
     pytest.importorskip("numpy")
-    monkeypatch.setattr(core, "NUMPY_MIN_N", 0)
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
     for case in MALFORMED:
         text, kind, message = case.values
         with pytest.raises(GraphError) as exc:
@@ -885,6 +889,51 @@ def test_numpy_load_names_the_same_errors(corpus, monkeypatch):
     assert _sweep(corpus)[1] == SWEEP_DIGEST
 
 
+def test_bulk_reader_reads_every_valid_file(kernel_corpus, monkeypatch):
+    # The bulk reader serves every size; the file-order reader only runs,
+    # after it declines, to name an error.
+    texts = [
+        serialize_graph(ot.base)
+        for ot in (*kernel_corpus, polygon_stack(199), polygon_stack(9999))
+    ]
+    pure = [parse_graph(text) for text in texts]
+    monkeypatch.setattr(gm, "_read_py", _pure_path_fails)
+    for text, ref in zip(texts, pure):
+        g = parse_graph(text)
+        assert g == ref
+        for name in ("off", "nbr", "out", "twin"):
+            assert getattr(g, name) == getattr(ref, name), name
+
+
+def test_large_file_solves_without_numpy():
+    # Without numpy a file above the threshold runs the whole user path in
+    # pure Python, read by the bulk reader.
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import hpccm.graph_model as gm\n"
+        "from hpccm import classify_ot, from_book_embedding, parse_graph, "
+        "polygon_stack, serialize_graph, solve, to_book_embedding\n"
+        "def fail(*args):\n"
+        "    raise AssertionError('the file-order reader ran')\n"
+        "gm._read_py = fail\n"
+        "k = gm.NUMPY_MIN_N // 2\n"
+        "text = serialize_graph(polygon_stack(k, validate=False).base)\n"
+        "ot = classify_ot(parse_graph(text))\n"
+        "assert ot.n >= gm.NUMPY_MIN_N\n"
+        "r = solve(ot)\n"
+        "assert r.total_crossings == k\n"
+        "assert from_book_embedding(ot.base, to_book_embedding(ot, r)) == r\n"
+        "print(sys.modules['numpy'], [m for m in sys.modules if m[:6] == 'numpy.'])\n"
+    )
+    src = str(Path(gm.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "None []\n", "")
+
+
 def test_small_instances_leave_numpy_unimported():
     # numpy costs about 10 MiB of memory; below the threshold the whole
     # user path runs without importing it.
@@ -892,7 +941,7 @@ def test_small_instances_leave_numpy_unimported():
         "import sys\n"
         "from hpccm import classify_ot, parse_graph, polygon_stack, "
         "serialize_graph, solve, to_book_embedding\n"
-        "from hpccm.core import NUMPY_MIN_N\n"
+        "from hpccm.graph_model import NUMPY_MIN_N\n"
         "ot = polygon_stack(NUMPY_MIN_N // 2 - 2, validate=False)\n"
         "text = serialize_graph(ot.base)\n"
         "ot = classify_ot(parse_graph(text))\n"
