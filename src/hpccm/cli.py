@@ -49,11 +49,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_check_file(args: argparse.Namespace) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         g = gm.parse_graph(fh.read())
-    for r in ham.find_rhombi(g):
-        print(
-            f"rhombus median={g.name_edge(r.median)} "
-            f"left={g.names[r.left_apex]} right={g.names[r.right_apex]}"
-        )
+    columns = (map(g.names.__getitem__, col) for col in ham.rhombus_columns(g))
+    line = "rhombus median={}->{} left={} right={}\n".format
+    sys.stdout.write("".join(map(line, *columns)))
     path = ham.hamiltonian_path(g)
     if path is None:
         print("hamiltonian: none")

@@ -154,8 +154,8 @@ class EmbeddedDigraph:
 
     @cached_property
     def kahn(self) -> tuple[array, bool]:
-        """:func:`kahn_order` of the graph, run once for validation and
-        the hamiltonian path."""
+        """:func:`kahn_order` of the graph, run once: by the hamiltonian
+        path, and by the pure-Python validation to tell acyclic graphs."""
         return kahn_order(self)
 
     def name_edge(self, e: DirectedEdge) -> str:
@@ -539,65 +539,88 @@ def validate_embedded(g: EmbeddedDigraph) -> None:
 
     Raises GraphError with kinds: too-small, multi-source, multi-sink,
     cyclic, non-consecutive-in-out, non-planar-rotation,
-    sink-not-on-outer-face.  Large graphs are checked with numpy; when
-    that finds a fault, the pure-Python checks run again to name it.
+    sink-not-on-outer-face.  Large graphs are checked with numpy, with no
+    Kahn pass; the pure-Python checks run again to name a fault found.
     """
     np = backend(g.n)
     if np is None or not _valid_np(np, g):
         _validate_py(g)
 
 
+def face_next(np, g: EmbeddedDigraph):
+    """Each slot's next slot on its face walk (see :func:`face_walks`), as
+    a numpy array.  The twins must lie in range."""
+    off = np.frombuffer(g.off, dtype=np.intc)
+    full = off[1:] > off[:-1]
+    before = np.arange(-1, len(g.nbr) - 1, dtype=np.intc)
+    before[off[:-1][full]] = off[1:][full] - 1
+    return before[np.frombuffer(g.twin, dtype=np.intc)]
+
+
 def _valid_np(np, g: EmbeddedDigraph) -> bool:
     """Whether :func:`_validate_py` passes, decided on the slot arrays.
 
-    Degrees by ``bincount``; a row's out-slots form one cyclic run exactly
-    when at most one out-slot is followed by an in-slot; and the faces are
-    the cycles of the permutation taking each slot to the next slot of its
-    face walk, each labelled with its least slot by pointer jumping in
-    log2(2m) rounds.
+    Degrees by ``bincount``; faces are the cycles of the permutation
+    ``nxt`` (:func:`face_next`), each labelled with its least slot by
+    pointer jumping in log2(2m) rounds.  Stepping from each vertex to its
+    least in-neighbour (jumping too) must reach s, so the graph is
+    connected and, with V - E + F = 2, a plane embedding.
+
+    Bimodal rows and acyclicity are then decided together, without Kahn's
+    pass.  A switch is a slot i whose edge and ``nxt[i]``'s point opposite
+    ways along the walk, so that at their shared vertex both are in-edges or
+    both out-edges; the other angles are turns.  A walk has an even number of
+    switches, none only if it is a directed closed walk.  A vertex other than
+    s and t has at least two turns, two exactly when its row is bimodal, and s
+    and t have none: so there are at most 2m - 2n + 4 = 2F switches, with
+    equality exactly when all rows are bimodal.  Hence a valid graph has two
+    switches on every face, and one with two on every face has bimodal rows.
+    If it also had a simple directed cycle C, take C and all on its side away
+    from the outer face (where s and t lie): n' vertices, m' edges, F' - 1
+    faces, and the plane outside C as one more.  Inner vertices have deg - 2
+    switch angles, and a vertex of C with k edges into this side has k (of its
+    k + 1 angles there, one is a turn).  So 2(F' - 1) = 2m' - 2n', and
+    n' - m' + F' = 1, against Euler's formula.  Without the connectivity
+    test, a torus-embedded grid with every edge pointing right or up would
+    pass as a second component.
     """
     n, slots = g.n, len(g.nbr)
-    if n < 2 or len(g.off) != n + 1 or not slots:
-        return False
+    if n < 2 or len(g.off) != n + 1 or not slots or slots != 2 * g.m:
+        return False  # rows of fewer slots: a self-loop or a two-cycle
     off = np.frombuffer(g.off, dtype=np.intc)
     head = np.frombuffer(g.nbr, dtype=np.intc)
     twin = np.frombuffer(g.twin, dtype=np.intc)
     out = np.frombuffer(g.out, dtype=np.bool_)
     if min(head.min(), twin.min()) < 0 or head.max() >= n or twin.max() >= slots:
         return False
-    deg = np.diff(off)
-    tail = np.repeat(np.arange(n, dtype=np.intc), deg)
+    tail = np.repeat(np.arange(n, dtype=np.intc), np.diff(off))
     sources = np.flatnonzero(np.bincount(head[out], minlength=n) == 0)
     sinks = np.flatnonzero(np.bincount(tail[out], minlength=n) == 0)
     if sources.tolist() != [g.s] or sinks.tolist() != [g.t]:
         return False
-    if len(g.kahn[0]) != n:
-        return False
-    full = deg > 0
-    first, last = off[:-1][full], off[1:][full] - 1
-    after = np.arange(1, slots + 1, dtype=np.intc)
-    after[last] = first
-    if np.bincount(tail[out & ~out[after]], minlength=n).max() > 1:
-        return False
     if (tail[twin] != head).any():
         return False  # a twin outside its head's row
-    del after, tail
-    before = np.arange(-1, slots - 1, dtype=np.intc)
-    before[first] = last
-    nxt = before[twin]  # the face walk's next slot
-    del before
+    back = np.full(n, n - 1, dtype=np.intc)
+    np.minimum.at(back, head[out], tail[out])  # the least in-neighbour
+    back[g.s] = g.s
+    nxt = face_next(np, g)
     if np.bincount(nxt, minlength=slots).max() > 1:
         return False  # not a permutation
+    switch = out != out[nxt]
     label = np.arange(slots, dtype=np.intc)
     span = 1
-    while span < slots:
+    while span < slots:  # 2m slots: at least n, enough for back too
         np.minimum(label, label[nxt], out=label)
-        nxt = nxt[nxt]
+        nxt, back = nxt[nxt], back[back]
         span *= 2
     del nxt
-    face_count = np.count_nonzero(label == np.arange(slots, dtype=np.intc))
-    if n - g.m + face_count != 2:
+    if (back != g.s).any():
+        return False  # a vertex s does not reach
+    root = label == np.arange(slots, dtype=np.intc)
+    if n - g.m + np.count_nonzero(root) != 2:
         return False
+    if not (np.bincount(label[switch], minlength=slots) == 2 * root).all():
+        return False  # a directed cycle, or a row that is not bimodal
     outer = label[off[g.s + 1] - 1]
     return bool((head[label == outer] == g.t).any())
 

@@ -955,3 +955,101 @@ def test_small_instances_leave_numpy_unimported():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+# ---------------------------------------------------------------------------
+# Acyclicity from the faces
+
+
+def _reversed(g: EmbeddedDigraph, flip) -> EmbeddedDigraph:
+    """``g`` with the edges of ``flip`` reversed, unvalidated."""
+    edges = [(v, u) if (u, v) in flip else (u, v) for (u, v) in g.edges]
+    rows = (g.nbr[g.off[v] : g.off[v + 1]] for v in range(g.n))
+    return EmbeddedDigraph.from_rows(g.names, g.s, g.t, edges, rows)
+
+
+def _passes_all_but_kahn(g: EmbeddedDigraph) -> bool:
+    """Whether the pure checks pass when Kahn's pass is told the graph is
+    acyclic."""
+    h = replace(g)
+    h.__dict__["kahn"] = (range(g.n), False)
+    try:
+        gm._validate_py(h)
+    except GraphError:
+        return False
+    return True
+
+
+def test_face_switches_decide_acyclicity():
+    # Reversing one to six edges off s and t in small draws: the numpy
+    # checks, which run no Kahn pass, accept exactly the graphs the pure
+    # checks accept.
+    np = pytest.importorskip("numpy")
+    rng = random.Random(41)
+    accepted = cyclic_otherwise_valid = 0
+    for _ in range(2000):
+        prof = GenProfile(rng.randint(1, 5), rng.randint(1, 5), rng.random(), rng.randrange(10**6))
+        g = random_ot(prof).base
+        inner = sorted(e for e in g.edges if g.s not in e and g.t not in e)
+        if not inner:
+            continue
+        h = _reversed(g, set(rng.sample(inner, min(len(inner), rng.randint(1, 6)))))
+        try:
+            gm._validate_py(h)
+            valid = True
+        except GraphError as exc:
+            valid = False
+            cyclic_otherwise_valid += exc.kind == "cyclic" and _passes_all_but_kahn(h)
+        assert gm._valid_np(np, h) == valid, prof
+        accepted += valid
+    assert accepted >= 20 and cyclic_otherwise_valid >= 30, (accepted, cyclic_otherwise_valid)
+
+
+def test_cycle_in_a_second_component_rejected(monkeypatch):
+    # The triangle s, v, t plus a 3 x 3 grid on a torus whose edges point
+    # right and up: one source, one sink, bimodal rows, V - E + F = 2 and
+    # two switches on every face, yet the grid is all cycles.
+    pytest.importorskip("numpy")
+    cell = [f"g{x}{y}" for x in range(3) for y in range(3)]
+    edges = [("s", "v"), ("v", "t"), ("s", "t")]
+    rotation = {"s": ["v", "t"], "v": ["t", "s"], "t": ["s", "v"]}
+    for x in range(3):
+        for y in range(3):
+            right, up = f"g{(x + 1) % 3}{y}", f"g{x}{(y + 1) % 3}"
+            left, down = f"g{(x - 1) % 3}{y}", f"g{x}{(y - 1) % 3}"
+            edges += [(f"g{x}{y}", right), (f"g{x}{y}", up)]
+            rotation[f"g{x}{y}"] = [right, down, left, up]
+    names = ["s", "v", "t", *cell]
+    g = build_graph(names, "s", "t", edges, rotation, validate=False)
+    assert _passes_all_but_kahn(g)
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    with pytest.raises(GraphError) as exc:
+        gm.validate_embedded(g)
+    assert (exc.value.kind, str(exc.value)) == ("cyclic", "graph contains a directed cycle")
+
+
+def test_large_cycle_rejected_by_numpy_without_kahn(monkeypatch):
+    # A valid file above the threshold loads with no Kahn pass; with two
+    # edges reversed (l3 -> l2 -> r1 -> l3 is then a cycle, and every
+    # other check passes) the numpy checks reject it.
+    pytest.importorskip("numpy")
+    g = polygon_stack(gm.NUMPY_MIN_N // 2).base
+    text = serialize_graph(g)
+    assert "kahn" not in parse_graph(text).__dict__
+    data = json.loads(text)
+    for edge in data["edges"]:
+        if edge in (["l2", "l3"], ["r1", "l2"]):
+            edge.reverse()
+    ids = g.id_of
+    assert _passes_all_but_kahn(_reversed(g, {(ids["l2"], ids["l3"]), (ids["r1"], ids["l2"])}))
+    verdicts, valid_np = [], gm._valid_np
+
+    def recorded(np, g):
+        verdicts.append(valid_np(np, g))
+        return verdicts[-1]
+
+    monkeypatch.setattr(gm, "_valid_np", recorded)
+    with pytest.raises(GraphError) as exc:
+        parse_graph(json.dumps(data))
+    assert (exc.value.kind, str(exc.value)) == ("cyclic", "graph contains a directed cycle")
+    assert verdicts == [False]

@@ -12,8 +12,12 @@ from hpccm import (
     hamiltonian_path,
     random_ot,
 )
+import hpccm.graph_model as gm
+import hpccm.hamiltonicity as ham
+from hpccm import parse_graph, polygon_stack
 from hpccm.graph_model import build_graph
 from tests.conftest import brute_is_median
+from tests.test_graph_model import _pure_path_fails, _single_mutations
 
 
 def test_rhombus_has_one_rhombus(rh):
@@ -53,9 +57,9 @@ def test_rhombi_reported_in_median_order(corpus):
         assert medians == sorted(medians)
 
 
-def test_non_triangulated_rejected():
+def _square_graph():
     # Square face: s -> a -> t, s -> b -> t without any chord.
-    g = build_graph(
+    return build_graph(
         names=["s", "a", "b", "t"],
         source="s",
         sink="t",
@@ -67,8 +71,11 @@ def test_non_triangulated_rejected():
             "t": ["b", "a"],
         },
     )
+
+
+def test_non_triangulated_rejected():
     with pytest.raises(GraphError) as exc:
-        find_rhombi(g)
+        find_rhombi(_square_graph())
     assert exc.value.kind == "non-triangular-face"
 
 
@@ -161,3 +168,74 @@ def test_non_outerplanar_rhombus_and_no_path():
     assert [e for e in sorted(g.edges) if brute_is_median(bare, e)] == [r.median]
     assert hamiltonian_path(g) is None
     assert exhaustive_hamiltonian(g) is False
+
+
+def _triangle_outer_graph():
+    """K4 as a maximal planar st-digraph: outer face the triangle s, a, t,
+    with c inside joined to all three.  s->a->t and s->c->t flank s->t, but
+    only c's triangle is an interior face, so s->t is no median."""
+    return build_graph(
+        names=["s", "a", "c", "t"],
+        source="s",
+        sink="t",
+        edges=[("s", "a"), ("s", "c"), ("s", "t"), ("a", "c"), ("a", "t"), ("c", "t")],
+        rotation={
+            "s": ["a", "c", "t"],
+            "a": ["t", "c", "s"],
+            "c": ["t", "s", "a"],
+            "t": ["s", "c", "a"],
+        },
+    )
+
+
+def test_outer_face_flanks_no_median():
+    g = _triangle_outer_graph()
+    assert find_rhombi(g) == ()
+    assert [g.names[v] for v in hamiltonian_path(g)] == ["s", "a", "c", "t"]
+
+
+def _rhombi_or_error(g):
+    try:
+        return find_rhombi(g)
+    except GraphError as exc:
+        return exc.kind, str(exc)
+
+
+def test_numpy_rhombi_match_pure(corpus, monkeypatch):
+    # With the threshold at 0 every graph goes through the numpy detector,
+    # which must give the pure rows, and leave to the pure function only
+    # the graphs it rejects, for it to name the face.
+    pytest.importorskip("numpy")
+    graphs = [ot.base for ot in corpus]
+    graphs += [_interior_vertex_graph(), _triangle_outer_graph(), _square_graph()]
+    for text in _single_mutations(corpus, 2600, seed=9):
+        try:
+            graphs.append(parse_graph(text))
+        except GraphError:
+            pass
+    pure = list(map(_rhombi_or_error, graphs))
+    raised = sum(isinstance(r[0], str) for r in pure if r)  # (kind, message)
+    assert len(graphs) - len(corpus) >= 550 and raised >= 250, (len(graphs), raised)
+    reference, calls = ham._rhombi_py, []
+
+    def counted(g):
+        calls.append(g)
+        return reference(g)
+
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    monkeypatch.setattr(ham, "_rhombi_py", counted)
+    assert list(map(_rhombi_or_error, graphs)) == pure
+    assert len(calls) == raised
+
+
+def test_numpy_rhombi_at_size(monkeypatch):
+    # At the default threshold a stack of 9999 polygons is read by numpy
+    # alone, one rhombus per polygon.
+    pytest.importorskip("numpy")
+    g = polygon_stack(9999).base
+    assert g.n >= gm.NUMPY_MIN_N
+    pure = tuple(ham.Rhombus(u, v, a, b, (u, v)) for u, v, a, b in zip(*ham._rhombi_py(g)))
+    monkeypatch.setattr(ham, "_rhombi_py", _pure_path_fails)
+    rhombi = find_rhombi(g)
+    assert len(rhombi) == 9999
+    assert rhombi == pure
