@@ -280,29 +280,55 @@ class OtArrays:
         self.n = n = len(cyc)
         self.k = k
         self.cyc = array("i", cyc)
-        self.off = off = array("i", off)
-        self.nbr = nbr = array("i", nbr)
-        self.out = out = bytes(out)
-        # The left-greedy merge of the two chains is a topological order:
-        # each left vertex l_i follows exactly the right vertices r_1..r_A,
-        # A the highest right tail of an edge into l_1..l_i (the first
-        # in-slot of a left row holds its topmost right in-neighbour).
-        rank = array("i", bytes(4 * n))
-        rank[k + 1] = n - 1
-        before = array("i")
-        a = 0
-        for p in range(1, k + 1):
-            q = nbr[out.index(0, off[p])]
-            if q > k + 1 and n - q > a:
-                a = n - q
-            rank[p] = p + a
-            before.append(a)
-        i = 0
-        for j in range(1, n - k - 1):
-            while i < k and before[i] < j:
-                i += 1
-            rank[n - j] = j + i
-        self.rank = rank
+        self.off = array("i", off)
+        self.nbr = array("i", nbr)
+        self.out = bytes(out)
+        np = backend(n)
+        ranked = None if np is None else _rank_np(np, self)
+        self.rank = ranked or _rank_py(self)
+
+
+def _rank_py(arrays: OtArrays) -> array:
+    """A topological rank per position: the left-greedy merge of the two
+    chains.  Each left vertex l_i follows exactly the right vertices
+    r_1..r_A, A the highest right tail of an edge into l_1..l_i (the first
+    in-slot of a left row holds its topmost right in-neighbour)."""
+    n, k, off, nbr, out = arrays.n, arrays.k, arrays.off, arrays.nbr, arrays.out
+    rank = array("i", bytes(4 * n))
+    rank[k + 1] = n - 1
+    before = array("i")
+    a = 0
+    for p in range(1, k + 1):
+        q = nbr[out.index(0, off[p])]
+        if q > k + 1 and n - q > a:
+            a = n - q
+        rank[p] = p + a
+        before.append(a)
+    i = 0
+    for j in range(1, n - k - 1):
+        while i < k and before[i] < j:
+            i += 1
+        rank[n - j] = j + i
+    return rank
+
+
+def _rank_np(np, arrays: OtArrays):
+    """:func:`_rank_py`'s rank, or None where it would raise: A is a
+    running maximum, and the left vertices below each right one are
+    counted by ``searchsorted``."""
+    n, k = arrays.n, arrays.k
+    zeros = np.flatnonzero(np.frombuffer(arrays.out, dtype=np.uint8) == 0)
+    at = np.searchsorted(zeros, np.frombuffer(arrays.off, dtype=np.intc)[1 : k + 1])
+    if k and at[-1] == len(zeros):
+        return None  # a left row with no in-slot at or after it
+    q = np.frombuffer(arrays.nbr, dtype=np.intc)[zeros[at]]
+    before = np.maximum.accumulate(np.where(q > k + 1, n - q, 0))
+    rank = np.empty(n, dtype=np.intc)
+    rank[0], rank[k + 1] = 0, n - 1
+    rank[1 : k + 1] = np.arange(1, k + 1) + before
+    j = np.arange(1, n - k - 1)
+    rank[n - j] = j + np.searchsorted(before, j)
+    return array("i", rank.tobytes())
 
 
 @dataclass(frozen=True)
@@ -557,6 +583,39 @@ def face_next(np, g: EmbeddedDigraph):
     return before[np.frombuffer(g.twin, dtype=np.intc)]
 
 
+def outer_walk(np, g: EmbeddedDigraph, nxt):
+    """The outer face's slots in walk order from :func:`outer_slot`, as a
+    numpy array, when every other face is a triangle; else None.  ``nxt``
+    is :func:`face_next`.  The slots off the triangles (``nxt`` thrice not
+    back) must then form one cycle through the outer slot; each one's
+    steps to it, found by pointer jumping in log2(n) rounds, give the
+    order."""
+    if g.off[g.s] == g.off[g.s + 1]:
+        return None  # no outer slot
+    o, slots = outer_slot(g), len(nxt)
+    nxt2 = nxt[nxt]
+    tri = nxt[nxt2] == np.arange(slots)
+    if tri[o]:  # the outer face is a triangle too
+        return np.array([o, nxt[o], nxt2[o]]) if tri.all() else None
+    ring = np.flatnonzero(~tri)
+    size = len(ring)
+    local = np.empty(slots, dtype=np.intc)
+    local[ring] = np.arange(size, dtype=np.intc)
+    to = local[nxt[ring]]  # a face off the triangles stays off them
+    start = local[o]
+    to[start] = start
+    steps = np.ones(size, dtype=np.intc)
+    steps[start] = 0
+    for _ in range(size.bit_length()):
+        steps += steps[to]
+        to = to[to]
+    if (to != start).any():
+        return None  # a second face that is not a triangle
+    walk = np.empty(size, dtype=np.intc)
+    walk[(size - steps) % size] = ring
+    return walk
+
+
 def _valid_np(np, g: EmbeddedDigraph) -> bool:
     """Whether :func:`_validate_py` passes, decided on the slot arrays.
 
@@ -798,19 +857,29 @@ def _read_py(data: dict, names: list[str], ids: dict[str, int]) -> EmbeddedDigra
 def serialize_graph(g: EmbeddedDigraph) -> str:
     """Canonical JSON text; parse_graph round-trips it bit-exactly.  It is
     ``json.dumps`` of the format object with ``indent=2``, written out
-    directly with each name quoted once."""
+    directly with each name quoted once: the edges sorted as int keys
+    u * n + v (on large graphs by numpy, from the out slots, which are
+    the edges), the rows' names mapped in one pass over ``nbr``."""
     q = list(map(encode_basestring_ascii, g.names))
-    off, nbr = g.off, g.nbr
+    n, off = g.n, g.off
+    qn = list(map(q.__getitem__, g.nbr))
 
     def block(items: list[str], ind: str) -> str:
         sep = f",\n{ind}  "
         return f"[\n{ind}  {sep.join(items)}\n{ind}]" if items else "[]"
 
-    edges = [f"[\n      {q[u]},\n      {q[v]}\n    ]" for (u, v) in sorted(g.edges)]
-    rows = [
-        f"{q[v]}: " + block([q[w] for w in nbr[off[v] : off[v + 1]]], "    ")
-        for v in range(g.n)
-    ]
+    np = backend(n)
+    if np is None:
+        keys = sorted([u * n + v for (u, v) in g.edges])
+        ends = zip([k // n for k in keys], [k % n for k in keys])
+    else:
+        deg = np.diff(np.frombuffer(off, dtype=np.intc))
+        keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n
+        keys += np.frombuffer(g.nbr, dtype=np.intc)
+        keys = np.sort(keys[np.frombuffer(g.out, dtype=np.bool_)])
+        ends = zip((keys // n).tolist(), (keys % n).tolist())
+    edges = [f"[\n      {q[u]},\n      {q[v]}\n    ]" for (u, v) in ends]
+    rows = [f"{q[v]}: " + block(qn[off[v] : off[v + 1]], "    ") for v in range(n)]
     return (
         f'{{\n  "vertices": {block(q, "  ")},\n  "source": {q[g.s]},\n'
         f'  "sink": {q[g.t]},\n  "edges": {block(edges, "  ")},\n'
@@ -830,8 +899,46 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
     if some vertex is not on the outer face or an interior face is not a
     triangle: the rotations must follow the boundary cycle with no two
     edges crossing (checked as the positional arrays are built), and then
-    the interior faces are all triangles exactly when m = 2n - 3.
+    the interior faces are all triangles exactly when m = 2n - 3.  Large
+    graphs are walked with numpy; when that finds a fault, the pure-Python
+    walk runs again to name it.
     """
+    np = backend(g.n)
+    found = None if np is None else _cycle_np(np, g)
+    cyc, k = found or _cycle_py(g)
+    return OTStDigraph(base=g, arrays=_arrays_from_rotation(g, cyc, k))
+
+
+def _cycle_np(np, g: EmbeddedDigraph):
+    """:func:`_cycle_py`'s cycle and k, or None where it would raise: the
+    outer walk comes from :func:`outer_walk`, and the chains are split at
+    the walk's first slot out of t."""
+    n = g.n
+    walk = outer_walk(np, g, face_next(np, g))
+    if walk is None or len(walk) != n or g.m != 2 * n - 3:
+        return None
+    head = np.frombuffer(g.nbr, dtype=np.intc)
+    twin = np.frombuffer(g.twin, dtype=np.intc)
+    out = np.frombuffer(g.out, dtype=np.bool_)
+    tail, head = head[twin[walk]], head[walk]
+    at_s = np.flatnonzero(tail == g.s)
+    if len(at_s) != 1:
+        return None
+    walk, tail, head = (np.roll(a, -at_s[0]) for a in (walk, tail, head))
+    at_t = np.flatnonzero(tail[1:] == g.t)
+    j = at_t[0] + 1 if len(at_t) else n
+    if not (out[walk[1:j]].all() and out[twin[walk[j:]]].all()):
+        return None
+    left = head[j:-1][::-1]
+    cyc = np.concatenate(([g.s], left, [g.t], tail[1:j][::-1]))
+    if (np.bincount(cyc, minlength=n) != 1).any():
+        return None  # a vertex off the outer face, or met twice on it
+    return array("i", cyc.astype(np.intc).tobytes()), len(left)
+
+
+def _cycle_py(g: EmbeddedDigraph) -> tuple[list[VertexId], int]:
+    """The boundary cycle and the left chain's length, by one walk of the
+    outer face in pure Python, the reference."""
     nbr, out, twin = g.nbr, g.out, g.twin
     if g.off[g.s] == g.off[g.s + 1]:
         raise GraphError(
@@ -887,8 +994,7 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
         raise GraphError(
             "non-triangular-face", f"{g.m} edges, a triangulation has {2 * g.n - 3}"
         )
-    cyc = [g.s, *left, g.t, *reversed(right)]
-    return OTStDigraph(base=g, arrays=_arrays_from_rotation(g, cyc, len(left)))
+    return [g.s, *left, g.t, *reversed(right)], len(left)
 
 
 def edge_sidedness(g: OTStDigraph, e: DirectedEdge) -> Sidedness:

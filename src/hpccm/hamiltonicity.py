@@ -21,6 +21,7 @@ from .graph_model import (
     face_next,
     face_walks,
     outer_slot,
+    outer_walk,
 )
 
 
@@ -53,8 +54,7 @@ def rhombus_columns(g: EmbeddedDigraph) -> tuple[list[VertexId], ...]:
 
 def _rhombi_np(np, g: EmbeddedDigraph):
     """:func:`_rhombi_py`'s columns, or None where it would raise: the
-    triangles' slots are those with ``nxt[nxt[nxt[i]]] == i``, less the
-    outer face's."""
+    triangles' slots are all but the outer face's (:func:`outer_walk`)."""
     slots = len(g.nbr)
     if not slots or slots != 2 * g.m:
         return None
@@ -62,12 +62,12 @@ def _rhombi_np(np, g: EmbeddedDigraph):
     twin = np.frombuffer(g.twin, dtype=np.intc)
     out = np.frombuffer(g.out, dtype=np.bool_)
     nxt = face_next(np, g)
-    nxt2 = nxt[nxt]
-    tri = nxt[nxt2] == np.arange(slots)
-    outer = next(face_walks(g, [outer_slot(g)]))
-    tri[outer] = False
-    if np.count_nonzero(tri) != slots - len(outer):
+    outer = outer_walk(np, g, nxt)
+    if outer is None:
         return None  # an interior face that is not a triangle
+    nxt2 = nxt[nxt]
+    tri = np.ones(slots, dtype=np.bool_)
+    tri[outer] = False
     flank = tri & (out[nxt] == out[nxt2]) & (out[nxt] != out)
     median = np.flatnonzero(out & flank & flank[twin])
     median = median[np.lexsort((head[median], head[twin[median]]))]

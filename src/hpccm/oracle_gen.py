@@ -33,6 +33,7 @@ from .graph_model import (
     OTStDigraph,
     OtArrays,
     VertexId,
+    backend,
     classify_ot,
 )
 from .solver import PolygonCosts, Side, all_costs, interleaves
@@ -188,8 +189,28 @@ def _from_cycle(
     chords are id pairs, oriented by ``heights``.  The rotations and the
     positional arrays come from the same rows: each vertex's neighbours by
     increasing cycle offset.  With ``validate`` the graph goes through
-    :func:`classify_ot`.
+    :func:`classify_ot`.  Large instances are assembled with numpy.
     """
+    np = backend(len(names))
+    if np is None:
+        g, t_at, off, nbr, out = _slots_py(names, cycle, heights, chords, validate)
+    else:
+        g, t_at, off, nbr, out = _slots_np(np, names, cycle, heights, chords)
+    if validate:
+        return classify_ot(g)
+    return OTStDigraph(base=g, arrays=OtArrays(cycle, t_at - 1, off, nbr, out))
+
+
+def _slots_py(
+    names: list[str],
+    cycle: list[int],
+    heights: list[int],
+    chords: list[tuple[int, int]],
+    validate: bool,
+) -> tuple[EmbeddedDigraph, int, array, array, Optional[bytes]]:
+    """The graph, the sink's position, and the rows by position (offsets,
+    neighbour positions and, without ``validate``, out flags), in pure
+    Python, the reference."""
     n = len(names)
     t_at = max(range(n), key=lambda p: heights[cycle[p]])
     pos = [0] * n
@@ -231,11 +252,75 @@ def _from_cycle(
     rows = (map(cycle.__getitem__, nbr[off[p] : off[p + 1]]) for p in pos)
     edges = frozenset(edges)  # the graph's own; the set is freed
     g = EmbeddedDigraph.from_rows(names, cycle[0], cycle[t_at], edges, rows)
-    if validate:
-        return classify_ot(g)
     # Row p above is the base's row of vertex cycle[p], slot for slot.
-    out = b"".join(g.out[g.off[v] : g.off[v + 1]] for v in cycle)
-    return OTStDigraph(base=g, arrays=OtArrays(cycle, t_at - 1, off, nbr, out))
+    out = None if validate else b"".join(g.out[g.off[v] : g.off[v + 1]] for v in cycle)
+    return g, t_at, off, nbr, out
+
+
+def _slots_np(
+    np,
+    names: list[str],
+    cycle: list[int],
+    heights: list[int],
+    chords: list[tuple[int, int]],
+) -> tuple[EmbeddedDigraph, int, array, array, bytes]:
+    """:func:`_slots_py`'s results, out flags included, from one sort of
+    the slot keys in numpy; each key's lowest bit flags the edge's tail.
+    The base's rows are the position rows gathered into id order, and the
+    edge tuples share the ids' int objects."""
+    n, n2 = len(names), 2 * len(names)
+    cyc = np.array(cycle, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int64)
+    pos[cyc] = np.arange(n)
+    ends = np.fromiter(chain.from_iterable(chords), np.int64, count=2 * len(chords))
+    x, y = ends[0::2], ends[1::2]
+    height = np.array(heights)
+    up = height[x] < height[y]
+    t_at = int(np.argmax(height[cyc]))
+    a = np.concatenate(([0], pos[np.where(up, x, y)]))
+    b = np.concatenate(([n - 1], pos[np.where(up, y, x)]))
+    del ends, x, y, up, height
+    keep = np.abs(a - b) != 1
+    a = np.concatenate((np.arange(t_at), np.arange(t_at + 1, n), a[keep]))
+    b = np.concatenate((np.arange(1, t_at + 1), np.arange(t_at, n - 1), b[keep]))
+    key = np.concatenate((
+        (a * n2 + np.where(b > a, b, b + n)) * 2 + 1,
+        (b * n2 + np.where(a > b, a, a + n)) * 2,
+    ))
+    del a, b, keep
+    key.sort()
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]  # each edge once
+    out = (key & 1).astype(np.bool_)
+    key >>= 1
+    row, nbr = key // n2, key % n
+    del key
+    deg = np.bincount(row, minlength=n)
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=off[1:])
+    tails, heads = row[out], nbr[out]
+    del row
+    # Vertex v's row is position pos[v]'s, relabelled to ids.
+    vdeg = deg[pos]
+    voff = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(vdeg, out=voff[1:])
+    src = np.repeat(off[:-1][pos] - voff[:-1], vdeg) + np.arange(len(nbr))
+    vnbr = cyc[nbr[src]]
+    del src, vdeg, deg, pos
+    vends = np.empty(2 * len(tails), dtype=np.intc)
+    vends[0::2], vends[1::2] = cyc[tails], cyc[heads]
+    del cyc
+
+    def ints(a) -> array:
+        return array("i", a.astype(np.intc).tobytes())
+
+    off, nbr, voff, vnbr, vends = map(ints, (off, nbr, voff, vnbr, vends))
+    tails, heads = ints(tails), ints(heads)
+    at = cycle.__getitem__
+    edges = frozenset(zip(map(at, tails), map(at, heads)))
+    del tails, heads
+    s, t = cycle[0], cycle[t_at]
+    g = EmbeddedDigraph._from_slots(tuple(names), s, t, edges, voff, vnbr, vends)
+    return g, t_at, off, nbr, out.tobytes()
 
 
 def triangle() -> OTStDigraph:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import time
+from itertools import count, islice
+from typing import Iterator
 
 import pytest
 
 from hpccm import (
+    Decomposition,
     EmbeddedDigraph,
     GenProfile,
     OTStDigraph,
@@ -22,7 +25,7 @@ from hpccm import (
     triangle,
     validate_embedded,
 )
-from hpccm.oracle_gen import _from_cycle
+from hpccm import oracle_gen
 from hpccm.solver import interleaves
 
 
@@ -65,7 +68,9 @@ def make_pfp() -> OTStDigraph:
             ("l3", "t"),
         ]
     ]
-    return _from_cycle(names=names, cycle=cycle, heights=heights, chords=chords)
+    return oracle_gen._from_cycle(
+        names=names, cycle=cycle, heights=heights, chords=chords
+    )
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +86,9 @@ def fan_polygon() -> OTStDigraph:
     cycle = [ids[x] for x in ("s", "l1", "l2", "l3", "t", "r1")]
     heights = [0, 1, 2, 3, 5, 4]
     chords = [(ids[a], ids[b]) for a, b in [("s", "t"), ("l1", "t"), ("l2", "t")]]
-    return _from_cycle(names=names, cycle=cycle, heights=heights, chords=chords)
+    return oracle_gen._from_cycle(
+        names=names, cycle=cycle, heights=heights, chords=chords
+    )
 
 
 def corpus_profiles(count: int = 160) -> list[GenProfile]:
@@ -103,31 +110,37 @@ def corpus() -> list[OTStDigraph]:
     return [random_ot(p) for p in corpus_profiles()]
 
 
-@pytest.fixture(scope="session")
-def oracle_corpus():
-    """At least 500 seeded random instances with n <= 40 and at most 12
-    polygons, solved and compared against the enumeration oracle."""
-    instances = []
-    records = []
-    seed = 0
-    t0 = time.perf_counter()
-    while len(records) < 500:
+def oracle_draws() -> Iterator[tuple[GenProfile, OTStDigraph, Decomposition]]:
+    """The oracle corpus's draws in order, each with its instance and
+    decomposition: sizes and biases cycle, seeds count up, and draws of
+    more than 12 polygons are skipped."""
+    for seed in count():
         k = 1 + seed % 19
         m = 1 + (3 * seed // 7) % 19
         prof = GenProfile(
             n_left=k, n_right=m, polygon_bias=(seed % 11) / 10, seed=seed
         )
-        seed += 1
         ot = random_ot(prof)
         d = decompose(ot)
-        if d.polygon_count > 12:
-            continue
+        if d.polygon_count <= 12:
+            yield prof, ot, d
+
+
+@pytest.fixture(scope="session")
+def oracle_corpus():
+    """At least 500 seeded random instances with n <= 40 and at most 12
+    polygons, solved and compared against the enumeration oracle."""
+    records = []
+    t0 = time.perf_counter()
+    for _, ot, d in islice(oracle_draws(), 500):
         result = solve(ot)
         oracle = exhaustive_min_crossings(ot)
-        instances.append(ot)
         records.append((ot, d, result, oracle))
     elapsed = time.perf_counter() - t0
     return records, elapsed
+
+
+CHAIN_PROFILE = GenProfile(n_left=0, n_right=30, polygon_bias=0.5, seed=7)
 
 
 @pytest.fixture(scope="session")
@@ -138,8 +151,14 @@ def kernel_corpus(oracle_corpus) -> list[OTStDigraph]:
     return [
         *(ot for ot, *_ in records),
         *(polygon_stack(k) for k in range(1, 9)),
-        random_ot(GenProfile(n_left=0, n_right=30, polygon_bias=0.5, seed=7)),
+        random_ot(CHAIN_PROFILE),
     ]
+
+
+@pytest.fixture(scope="session")
+def kernel_profiles() -> list[GenProfile]:
+    """The profiles of the kernel corpus's random_ot draws."""
+    return [prof for prof, *_ in islice(oracle_draws(), 500)] + [CHAIN_PROFILE]
 
 
 # ---------------------------------------------------------------------------

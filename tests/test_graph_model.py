@@ -856,7 +856,7 @@ def test_numpy_load_matches_pure(kernel_corpus, monkeypatch):
     pure = [classify_ot(parse_graph(text)) for text in texts]
     stacks = [polygon_stack(k, validate=False) for k in range(1, 9)]
     monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
-    for name in ("_read_py", "_pair_py", "_validate_py", "_arrays_py"):
+    for name in ("_read_py", "_pair_py", "_validate_py", "_cycle_py", "_arrays_py", "_rank_py"):
         monkeypatch.setattr(gm, name, _pure_path_fails)
     for text, ref in zip(texts, pure):
         ot = classify_ot(parse_graph(text))
@@ -865,7 +865,7 @@ def test_numpy_load_matches_pure(kernel_corpus, monkeypatch):
         for name in gm.OtArrays.__slots__:
             assert getattr(ot.arrays, name) == getattr(ref.arrays, name), name
     for k, ref in enumerate(stacks, 1):
-        ot = polygon_stack(k)  # built through from_rows and classify_ot
+        ot = polygon_stack(k)  # built by numpy and classified
         assert ot.base == ref.base
         for name in gm.OtArrays.__slots__:
             assert getattr(ot.arrays, name) == getattr(ref.arrays, name), name

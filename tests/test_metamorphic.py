@@ -1,8 +1,9 @@
 """Metamorphic properties on instances far beyond the oracles' range.
 
 Generated instances always number their vertices the same way, so these
-tests feed the parser files whose vertex order is shuffled, and files
-whose embedding is mirrored, and compare the answers.
+tests feed the parser files whose vertex order is shuffled, files whose
+embedding is mirrored, and files whose edges are reversed, and compare
+the answers.
 """
 
 import json
@@ -61,4 +62,27 @@ def test_mirrored_embedding_keeps_the_minimum(large):
             row.reverse()
         mirror, answer = _load_and_solve(data)
         assert (mirror.left, mirror.right) == (ot.right, ot.left)
+        assert answer.total_crossings == r.total_crossings
+
+
+def test_reversed_edges_keep_the_minimum(large, corpus):
+    # Reversing every edge and swapping s and t turns the drawing upside
+    # down; reversing every rotation list mirrors it back, so the left
+    # chain stays on the left, now read top down.  The new source's list
+    # must start at its leftmost edge: the old left chain's top, or the
+    # old source when that chain is empty.
+    small = [(serialize_graph(ot.base), ot, solve(ot)) for ot in corpus]
+    for text, ot, r in large + small:
+        data = json.loads(text)
+        for edge in data["edges"]:
+            edge.reverse()
+        data["source"], data["sink"] = data["sink"], data["source"]
+        for row in data["rotation"].values():
+            row.reverse()
+        first = ot.base.names[ot.left[-1]] if ot.left else data["sink"]
+        row = data["rotation"][data["source"]]
+        i = row.index(first)
+        row[:] = row[i:] + row[:i]
+        flipped, answer = _load_and_solve(data)
+        assert (flipped.left, flipped.right) == (ot.left[::-1], ot.right[::-1])
         assert answer.total_crossings == r.total_crossings

@@ -1,17 +1,27 @@
+import hashlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hpccm.graph_model as gm
+import hpccm.oracle_gen as og
 from hpccm import (
     GenProfile,
+    GraphError,
     classify_ot,
     decompose,
     exhaustive_min_crossings,
+    five_crossing_polygon,
     polygon_stack,
     random_ot,
+    rhombus,
     serialize_graph,
     solve,
+    triangle,
 )
 import pytest
+
+from conftest import fan_polygon, make_pfp
 
 
 def test_profile_validation():
@@ -164,3 +174,111 @@ def test_crossing_chords_rejected():
         _from_cycle(**shape)
     with pytest.raises(GraphError):
         classify_ot(unchecked.base)
+
+
+# ---------------------------------------------------------------------------
+# The numpy builder against the pure-Python one
+
+
+def _pure_path_fails(*args):
+    raise AssertionError("a pure-Python build step ran")
+
+
+CROSSING_CHORDS = (
+    ["s", "a", "b", "t", "c"], [0, 1, 2, 3, 4], [0, 1, 2, 4, 3], [(0, 2), (1, 3)]
+)
+
+
+def test_numpy_builder_matches_pure(kernel_profiles, monkeypatch):
+    # Every instance the builders and the kernel corpus's draws make goes
+    # through _from_cycle; with the threshold at 0 numpy builds it, with
+    # and without validation, and must give the pure path's graph and
+    # arrays, or its error.
+    pytest.importorskip("numpy")
+    inputs, build = [CROSSING_CHORDS], og._from_cycle
+
+    def recorded(names, cycle, heights, chords, validate=True):
+        inputs.append((names, cycle, heights, chords))
+        return build(names, cycle, heights, chords, validate)
+
+    monkeypatch.setattr(og, "_from_cycle", recorded)
+    for make in (triangle, rhombus, five_crossing_polygon, make_pfp, fan_polygon):
+        make()
+    for k in range(1, 9):
+        polygon_stack(k)
+    for prof in kernel_profiles:
+        random_ot(prof)
+    monkeypatch.undo()
+
+    def built(args, validate):
+        try:
+            return build(*args, validate=validate)
+        except GraphError as exc:
+            return exc.kind, str(exc)
+
+    pure = [built(args, v) for args in inputs for v in (True, False)]
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    for module, name in ((og, "_slots_py"), (gm, "_rank_py")):
+        monkeypatch.setattr(module, name, _pure_path_fails)
+    named = []
+    for name in ("_cycle_py", "_arrays_py"):
+        def naming(g, *args, name=name, reference=getattr(gm, name)):
+            named.append((name, g.names))
+            return reference(g, *args)
+
+        monkeypatch.setattr(gm, name, naming)
+    assert len(inputs) == 1 + 5 + 8 + len(kernel_profiles)
+    assert isinstance(pure[0], tuple) and not isinstance(pure[1], tuple)
+    for i, ref in enumerate(pure):
+        ot = built(inputs[i // 2], validate=i % 2 == 0)
+        if isinstance(ref, tuple):
+            assert ot == ref
+            continue
+        for name in ("names", "s", "t", "edges", "off", "nbr", "out", "twin"):
+            assert getattr(ot.base, name) == getattr(ref.base, name), (i, name)
+        for name in gm.OtArrays.__slots__:
+            assert getattr(ot.arrays, name) == getattr(ref.arrays, name), (i, name)
+    # Only the crossing chords reach the pure classifier, which names the
+    # error.
+    names = tuple(CROSSING_CHORDS[0])
+    assert named == [("_cycle_py", names), ("_arrays_py", names)]
+
+
+def test_numpy_builder_shares_the_ids(monkeypatch):
+    # The edge tuples hold the cycle's own int objects, one per vertex, not
+    # a fresh int per edge end.
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    monkeypatch.setattr(og, "_slots_py", _pure_path_fails)
+    g = polygon_stack(300, validate=False).base
+    assert len({id(v) for e in g.edges for v in e}) == g.n == 602
+
+
+# sha256 of the files the generators write, as the pure-Python builder and
+# a serializer sorting edge tuples wrote them.
+GENERATED_SHA256 = {
+    "stack9999": "a382c766a3eafc1659b1863380cddbac6a62343c92539186c90d1d8a9c479329",
+    "bias0": "f5636f2c5bab7b6bb1f4cffc0cb93b66d6106fa328d5c432e73951917f8f7c34",
+    "bias0.5": "dd499b82f4b8fe73f73492656280c5a7d4e81c28415cc398b71ab8fd3fd8803d",
+    "bias1": "7e6ad73d68f3862a7cfda0a820ee4de60f16dac82ec3ae05f7dee47126298a4a",
+}
+
+
+@pytest.mark.parametrize("threshold", [None, 0])
+def test_generated_files_are_pinned(threshold, monkeypatch):
+    # At the default threshold the draws (n = 4000) are built and written
+    # in pure Python and the stack (n = 20000) with numpy; at 0, all are.
+    if threshold is not None:
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(gm, "NUMPY_MIN_N", threshold)
+    instances = {
+        "stack9999": polygon_stack(9999),
+        "bias0": random_ot(GenProfile(1999, 1999, 0, seed=21)),
+        "bias0.5": random_ot(GenProfile(1999, 1999, 0.5, seed=22)),
+        "bias1": random_ot(GenProfile(1999, 1999, 1, seed=23)),
+    }
+    digests = {
+        name: hashlib.sha256(serialize_graph(ot.base).encode()).hexdigest()
+        for name, ot in instances.items()
+    }
+    assert digests == GENERATED_SHA256
