@@ -871,14 +871,12 @@ def serialize_graph(g: EmbeddedDigraph) -> str:
     np = backend(n)
     if np is None:
         keys = sorted([u * n + v for (u, v) in g.edges])
-        ends = zip([k // n for k in keys], [k % n for k in keys])
     else:
         deg = np.diff(np.frombuffer(off, dtype=np.intc))
         keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n
         keys += np.frombuffer(g.nbr, dtype=np.intc)
-        keys = np.sort(keys[np.frombuffer(g.out, dtype=np.bool_)])
-        ends = zip((keys // n).tolist(), (keys % n).tolist())
-    edges = [f"[\n      {q[u]},\n      {q[v]}\n    ]" for (u, v) in ends]
+        keys = np.sort(keys[np.frombuffer(g.out, dtype=np.bool_)]).tolist()
+    edges = [f"[\n      {q[k // n]},\n      {q[k % n]}\n    ]" for k in keys]
     rows = [f"{q[v]}: " + block(qn[off[v] : off[v + 1]], "    ") for v in range(n)]
     return (
         f'{{\n  "vertices": {block(q, "  ")},\n  "source": {q[g.s]},\n'
