@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 import time
 from typing import Sequence
@@ -262,7 +263,17 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The ``hpccm`` command: :func:`run` with the cyclic garbage collector
+    off.  One command leaves few garbage cycles, all freed at exit, while
+    the collector's passes over the parsed file and the result's tuples
+    took about a third of ``hpccm solve`` at n = 10^6."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sys.exit(run(sys.argv[1:]))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ array.
 
 from __future__ import annotations
 
+import gc
 import json
 from array import array
 from collections import Counter
@@ -155,7 +156,8 @@ class EmbeddedDigraph:
     @cached_property
     def kahn(self) -> tuple[array, bool]:
         """:func:`kahn_order` of the graph, run once: by the hamiltonian
-        path, and by the pure-Python validation to tell acyclic graphs."""
+        path below ``NUMPY_MIN_N`` (or where numpy's order is declined), and
+        by the pure-Python validation to tell acyclic graphs."""
         return kahn_order(self)
 
     def name_edge(self, e: DirectedEdge) -> str:
@@ -767,9 +769,20 @@ def parse_graph(text: str) -> EmbeddedDigraph:
         raise GraphError("schema", "vertices must be a non-empty list of names")
     if len(set(names)) != len(names):
         raise GraphError("schema", "duplicate vertex names")
-    ids = {name: i for i, name in enumerate(names)}
-    g = _read_bulk(data, names, ids) or _read_py(data, names, ids)
-    validate_embedded(g)
+    # At numpy sizes the rest builds no reference cycles, so reference
+    # counting frees all it drops; the cyclic collector would only traverse
+    # the parsed rows and edge lists, again and again.  Below that size the
+    # pause saves little.
+    paused = backend(len(names)) is not None and gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        ids = {name: i for i, name in enumerate(names)}
+        g = _read_bulk(data, names, ids) or _read_py(data, names, ids)
+        validate_embedded(g)
+    finally:
+        if paused:
+            gc.enable()
     return g
 
 

@@ -4,7 +4,9 @@ A triangulated st-digraph has a hamiltonian path exactly when no edge is
 the median of a rhombus, i.e. no edge is flanked on both sides by interior
 "transitive" triangles (third vertex w with u->w->v over the edge (u,v)).
 Hamiltonian paths in DAGs coincide with unique topological orders, which
-Kahn elimination decides in linear time.
+Kahn elimination decides in linear time.  From ``NUMPY_MIN_N`` on, the
+order is read off the embedding instead, as the reverse postorder of its
+tree of leftmost in-edges, and checked; Kahn runs only if the check fails.
 """
 
 from __future__ import annotations
@@ -110,9 +112,15 @@ def hamiltonian_path(g: EmbeddedDigraph) -> Optional[tuple[VertexId, ...]]:
     A DAG has a hamiltonian path iff its topological order is unique, i.e.
     Kahn elimination never sees two simultaneous zero-indegree vertices.
     The consecutive-edge check below is then redundant but guards the
-    implementation.  At numpy sizes this is the graph's one Kahn pass;
-    it reads no rhombi, so ``hpccm check``'s two verdicts stay apart.
+    implementation.  At numpy sizes the order comes from
+    :func:`_order_np` instead, and Kahn runs only where it declines.  It
+    reads no rhombi, so ``hpccm check``'s two verdicts stay apart.
     """
+    np = backend(g.n)
+    found = None if np is None else _order_np(np, g)
+    if found is not None:
+        order, joined = found
+        return tuple(order.tolist()) if joined else None
     order, ambiguous = g.kahn
     if ambiguous or len(order) != g.n:
         return None
@@ -120,3 +128,73 @@ def hamiltonian_path(g: EmbeddedDigraph) -> Optional[tuple[VertexId, ...]]:
         if (a, b) not in g.edges:
             return None
     return tuple(order)
+
+
+def _order_np(np, g: EmbeddedDigraph):
+    """A topological order of the graph as a numpy array, and whether each
+    two consecutive vertices in it are joined, or None where it cannot
+    vouch for the order.
+
+    Each vertex other than s and t hangs off the tail of its leftmost
+    in-edge: the in-slot its clockwise row follows with an out-slot.  The
+    children of a vertex are ordered by their slots' offsets in its row
+    from its leftmost out-slot (for s, its first slot, by the file
+    format).  s, then the reverse postorder of this tree, then t is the
+    order in which a depth-first search taking out-edges left to right
+    finishes the vertices, backwards.  The postorder is read off the
+    tree's Euler tour, ranked by pointer jumping in log2(2n) rounds.  The
+    order is checked, not assumed: it must be a permutation under which
+    every edge points forward.  Then the graph has a hamiltonian path
+    exactly when n - 1 of its edges join consecutive vertices.
+    """
+    n, s, t, slots = g.n, g.s, g.t, len(g.nbr)
+    if len(g.off) != n + 1 or not slots:
+        return None
+    off = np.frombuffer(g.off, dtype=np.intc)
+    head = np.frombuffer(g.nbr, dtype=np.intc)
+    twin = np.frombuffer(g.twin, dtype=np.intc)
+    out = np.frombuffer(g.out, dtype=np.bool_)
+    if head.min() < 0 or head.max() >= n:
+        return None
+    deg = np.diff(off)
+    tail = np.repeat(np.arange(n, dtype=np.intc), deg)
+    after = np.arange(1, slots + 1, dtype=np.intc)  # the next slot in its row
+    full = deg > 0
+    after[off[1:][full] - 1] = off[:-1][full]
+    left_in = np.flatnonzero(~out & out[after])
+    child = tail[left_in]
+    first_out = off[:-1].astype(np.intp)
+    first_out[child] = after[left_in]
+    parent, at = head[left_in], twin[left_in]
+    key = off[parent] + (at - first_out[parent]) % deg[parent]
+    by_key = np.argsort(key)
+    child, parent = child[by_key], parent[by_key]
+    # The Euler tour: event v enters vertex v, event n + v leaves it.
+    tour = np.arange(2 * n, dtype=np.intp)
+    tour[s] = n + s
+    tour[child] = n + child
+    first = np.ones(len(child), dtype=np.bool_)
+    first[1:] = parent[1:] != parent[:-1]
+    tour[parent[first]] = child[first]
+    tour[n + child] = n + parent
+    tour[n + child[:-1][~first[1:]]] = child[1:][~first[1:]]
+    # Each event's count of leave events after it: a leave event's count
+    # is its vertex's place in the reverse postorder.
+    leave = np.zeros(2 * n, dtype=np.intp)
+    leave[n + child] = 1
+    leave[n + s] = 1
+    end = tour == np.arange(2 * n)
+    later = np.where(end, 0, leave[tour])
+    for _ in range((2 * n).bit_length()):
+        later += later[tour]
+        tour = tour[tour]
+    rank = later[n:]
+    rank[t] = n - 1
+    if rank.max() >= n or (np.bincount(rank, minlength=n) != 1).any():
+        return None  # a tour that does not end at s (a cycle of parents)
+    edge_tail, edge_head = rank[tail[out]], rank[head[out]]
+    if (edge_tail >= edge_head).any():
+        return None
+    order = np.empty(n, dtype=np.intc)
+    order[rank] = np.arange(n, dtype=np.intc)
+    return order, np.count_nonzero(edge_head - edge_tail == 1) == n - 1

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import hpccm
 from hpccm import rhombus, serialize_graph, triangle, five_crossing_polygon
+from hpccm import cli
 from hpccm.cli import _parser, run
 
 SRC = str(Path(hpccm.__file__).resolve().parents[1])
@@ -236,3 +238,24 @@ def test_parser_reused_without_leaking_between_calls(f9_file, capsys):
         if argv[1] == "--random":
             got_out, fresh_out = (x.rsplit(None, 1)[0] for x in (got_out, fresh_out))
         assert (rc, got_out, got.err) == (fresh.returncode, fresh_out, fresh.stderr)
+
+
+def test_main_runs_without_the_collector(f9_file, capsys, monkeypatch):
+    # The console script runs its command with the cyclic collector off
+    # and switches it back on after, also when the command exits early.
+    seen, run_command = [], cli.run
+
+    def recorded(argv):
+        seen.append(gc.isenabled())
+        return run_command(argv)
+
+    monkeypatch.setattr(cli, "run", recorded)
+    for argv, code in (([f9_file], 0), (["--no-such-option"], 1), ([], 1)):
+        monkeypatch.setattr(sys, "argv", ["hpccm", "check", *argv])
+        assert gc.isenabled()
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+        assert gc.isenabled()
+    assert seen == [False, False, False]
+    assert "hamiltonian: none" in capsys.readouterr().out

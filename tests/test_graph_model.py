@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -1053,3 +1054,42 @@ def test_large_cycle_rejected_by_numpy_without_kahn(monkeypatch):
         parse_graph(json.dumps(data))
     assert (exc.value.kind, str(exc.value)) == ("cyclic", "graph contains a directed cycle")
     assert verdicts == [False]
+
+
+# ---------------------------------------------------------------------------
+# The collector pause
+
+
+def test_parse_graph_pauses_the_collector_at_size(monkeypatch):
+    # From the threshold on, the load after json.loads runs with the
+    # cyclic collector off, and parse_graph leaves it as it found it: after
+    # a load, after an error raised inside the pause, and when the caller
+    # had it off.  Below the threshold it stays on.
+    pytest.importorskip("numpy")
+    text = serialize_graph(polygon_stack(9999).base)
+    data = json.loads(text)
+    data["edges"].append(data["edges"][0])
+    twice = json.dumps(data)
+    small = serialize_graph(polygon_stack(9).base)
+    seen, validate = [], gm.validate_embedded
+
+    def recorded(g):
+        seen.append(gc.isenabled())
+        validate(g)
+
+    monkeypatch.setattr(gm, "validate_embedded", recorded)
+    assert gc.isenabled()
+    assert parse_graph(text).n >= gm.NUMPY_MIN_N
+    assert gc.isenabled() and seen == [False]
+    with pytest.raises(GraphError) as exc:
+        parse_graph(twice)
+    assert exc.value.kind == "schema" and str(exc.value).startswith("duplicate edge")
+    assert gc.isenabled()
+    parse_graph(small)
+    assert gc.isenabled() and seen == [False, True]
+    gc.disable()
+    try:
+        parse_graph(text)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import random
 from array import array
 from dataclasses import replace
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ import hpccm.hamiltonicity as ham
 from hpccm import parse_graph, polygon_stack
 from hpccm.graph_model import build_graph
 from tests.conftest import brute_is_median
-from tests.test_graph_model import _pure_path_fails, _single_mutations
+from tests.test_graph_model import _pure_path_fails, _reversed, _single_mutations
 
 
 def test_rhombus_has_one_rhombus(rh):
@@ -239,3 +240,92 @@ def test_numpy_rhombi_at_size(monkeypatch):
     rhombi = find_rhombi(g)
     assert len(rhombi) == 9999
     assert rhombi == pure
+
+
+def _kahn_path(g):
+    """:func:`hamiltonian_path` by Kahn elimination alone, the reference."""
+    order, ambiguous = gm.kahn_order(g)
+    if ambiguous or len(order) != g.n:
+        return None
+    if any((a, b) not in g.edges for a, b in zip(order, order[1:])):
+        return None
+    return tuple(order)
+
+
+def _torus_grid_graph():
+    """The triangle s, v, t beside a 3 x 3 torus grid whose edges point
+    right and up, unvalidated: bimodal rows and one source and one sink,
+    yet the grid is all cycles."""
+    cell = [f"g{x}{y}" for x in range(3) for y in range(3)]
+    edges = [("s", "v"), ("v", "t"), ("s", "t")]
+    rotation = {"s": ["v", "t"], "v": ["t", "s"], "t": ["s", "v"]}
+    for x in range(3):
+        for y in range(3):
+            right, up = f"g{(x + 1) % 3}{y}", f"g{x}{(y + 1) % 3}"
+            left, down = f"g{(x - 1) % 3}{y}", f"g{x}{(y - 1) % 3}"
+            edges += [(f"g{x}{y}", right), (f"g{x}{y}", up)]
+            rotation[f"g{x}{y}"] = [right, down, left, up]
+    return build_graph(["s", "v", "t", *cell], "s", "t", edges, rotation, validate=False)
+
+
+def test_numpy_hamiltonian_matches_kahn(corpus, monkeypatch):
+    # With the threshold at 0 every graph gets its order from numpy, which
+    # must give Kahn's answer on every valid graph without declining.
+    np = pytest.importorskip("numpy")
+    graphs = [ot.base for ot in corpus]
+    graphs += [_interior_vertex_graph(), _triangle_outer_graph(), _square_graph()]
+    for text in _single_mutations(corpus, 2600, seed=9):
+        try:
+            graphs.append(parse_graph(text))
+        except GraphError:
+            pass
+    chains = (GenProfile(0, k, polygon_bias=k % 5 / 4, seed=k) for k in range(1, 61))
+    graphs += [ot.base for ot in map(random_ot, chains)]
+    expected = list(map(_kahn_path, graphs))
+    assert sum(path is not None for path in expected) >= 60
+    order_np, declined = ham._order_np, []
+
+    def recorded(np, g):
+        found = order_np(np, g)
+        if found is None:
+            declined.append(g)
+        return found
+
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    monkeypatch.setattr(ham, "_order_np", recorded)
+    assert list(map(hamiltonian_path, graphs)) == expected
+    assert declined == []
+    # A graph with a directed cycle has no topological order to vouch for.
+    # The torus grid's rows pass every test of the tree; the triangle
+    # s -> a -> b -> s gives s an in-edge; in draws with reversed edges the
+    # tree may well be one, with an edge that points backward.
+    cyclic = [_torus_grid_graph(), build_graph(
+        ["s", "a", "b", "t"], "s", "t",
+        [("s", "a"), ("a", "b"), ("b", "s"), ("b", "t"), ("s", "t")],
+        {"s": ["a", "t", "b"], "a": ["b", "s"], "b": ["t", "s", "a"], "t": ["s", "b"]},
+        validate=False,
+    )]
+    rng = random.Random(41)
+    while len(cyclic) < 40:
+        prof = GenProfile(rng.randint(1, 5), rng.randint(1, 5), rng.random(), rng.randrange(10**6))
+        g = random_ot(prof).base
+        inner = sorted(e for e in g.edges if g.s not in e and g.t not in e)
+        g = _reversed(g, set(rng.sample(inner, min(len(inner), 2))))
+        if len(gm.kahn_order(g)[0]) < g.n:
+            cyclic.append(g)
+    for g in cyclic:
+        assert order_np(np, g) is None
+        assert hamiltonian_path(g) is None
+
+
+def test_numpy_hamiltonian_at_size():
+    # At the default threshold large graphs get their order from numpy
+    # alone: no Kahn pass runs.
+    pytest.importorskip("numpy")
+    chain = random_ot(GenProfile(0, gm.NUMPY_MIN_N, polygon_bias=0.5, seed=3)).base
+    for g in (polygon_stack(9999).base, chain):
+        assert g.n >= gm.NUMPY_MIN_N
+        expected = _kahn_path(g)
+        assert hamiltonian_path(g) == expected
+        assert "kahn" not in g.__dict__
+    assert expected is not None and len(expected) == chain.n
