@@ -108,7 +108,7 @@ def to_book_embedding(g: OTStDigraph, r: HpCompletionResult) -> BookEmbedding:
         return "R" if 0 < q < (in_off[v] - o) % n else "L"
 
     assignment: dict[DirectedEdge, Placement] = {}
-    for e in sorted(base.edges):
+    for e in base.pairs():
         x, y = e
         if rank[y] == rank[x] + 1:
             assignment[e] = PageArc("R")  # path edges: fixed convention
@@ -161,9 +161,9 @@ def validate_embedding(g: EmbeddedDigraph, b: BookEmbedding) -> list[str]:
     rank = [0] * n
     for i, v in enumerate(b.spine):
         rank[v] = i
-    if set(b.assignment) != set(g.edges):
+    if set(b.assignment) != set(g.pairs()):
         return ["assignment does not cover exactly the edge set"]
-    for (x, y) in g.edges:
+    for (x, y) in g.pairs():
         if rank[x] >= rank[y]:
             out.append(f"edge {g.name_edge((x, y))} is not upward on the spine")
     split_crossings = []
@@ -193,7 +193,7 @@ def validate_embedding(g: EmbeddedDigraph, b: BookEmbedding) -> list[str]:
     for gap, ranks in sorted(by_gap.items()):
         if sorted(ranks) != list(range(len(ranks))):
             out.append(f"gap {gap} ranks are not 0..{len(ranks) - 1}")
-        if gap + 1 < n and (b.spine[gap], b.spine[gap + 1]) in g.edges:
+        if gap + 1 < n and (b.spine[gap], b.spine[gap + 1]) in b.assignment:
             out.append(
                 f"gap {gap} carries crossings although its spine pair is "
                 f"an edge"
@@ -245,7 +245,7 @@ def from_book_embedding(
     completion: list[DirectedEdge] = []
     crossings: list[tuple[DirectedEdge, ...]] = []
     for i, (a, bb) in enumerate(zip(b.spine, b.spine[1:])):
-        if (a, bb) in g.edges:  # validate_embedding: no crossings here
+        if (a, bb) in b.assignment:  # an edge: validate_embedding checked them
             continue
         completion.append((a, bb))
         lst = sorted(by_gap.get(i, []), key=lambda c: c.rank_in_gap)

@@ -89,7 +89,7 @@ def _polygon_record(g: OTStDigraph, cols: Sequence[int]) -> StPolygon:
     u, v, lo_l, hi_l, lo_r, hi_r, low, up = cols
     a = g.arrays
     n, cyc = a.n, a.cyc
-    edges = g.base.edges
+    has = g.base.has_edge
     su, sv = cyc[u], cyc[v]
     left = tuple(cyc[lo_l : hi_l + 1])
     right = tuple(cyc[n - lo_r : n - hi_r - 1 : -1])
@@ -101,10 +101,10 @@ def _polygon_record(g: OTStDigraph, cols: Sequence[int]) -> StPolygon:
         right_chain=right,
         lower_limit=(su, cyc[low]) if low >= 0 else None,
         upper_limit=(cyc[up], sv) if up >= 0 else None,
-        src_adj_left=tuple((su, x) in edges for x in left),
-        src_adj_right=tuple((su, x) in edges for x in right),
-        sink_adj_left=tuple((x, sv) in edges for x in left),
-        sink_adj_right=tuple((x, sv) in edges for x in right),
+        src_adj_left=tuple(has(su, x) for x in left),
+        src_adj_right=tuple(has(su, x) for x in right),
+        sink_adj_left=tuple(has(x, sv) for x in left),
+        sink_adj_right=tuple(has(x, sv) for x in right),
     )
 
 
@@ -115,7 +115,7 @@ def _position_of_edge(g: OTStDigraph, e: DirectedEdge) -> tuple[int, int]:
     (q - p) mod n around the boundary cycle, so one binary search over the
     row finds the head: O(log deg).
     """
-    if e not in g.base.edges:
+    if not g.base.has_edge(*e):
         raise GraphError("unknown-edge", f"edge {e} is not in the graph")
     a = g.arrays
     n = a.n

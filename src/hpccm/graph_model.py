@@ -6,13 +6,14 @@ bottom, sink at the top, left boundary chain on the left).  All derived
 data -- faces, the outer face, boundary chains, edge sidedness -- follows
 from that chirality convention.
 
-The rotation system is stored once, as CSR slots: row v of ``nbr``
-(slots ``off[v]`` to ``off[v + 1] - 1``) is v's clockwise rotation as
-given, each slot a dart v -> w.  ``out`` flags the slots whose edge leaves
-v and ``twin`` gives the slot of the reverse dart.  The dart after slot
-i = (u -> v) around its right face is the slot just before ``twin[i]`` in
-v's row, cyclically.  :class:`OtArrays` is this CSR relabelled by
-boundary-cycle position.
+The edge set is stored once, as ``keys``: each edge (u, v) as u * n + v,
+ascending; ``edges`` is a view of it as tuples.  The rotation system is
+stored once too, as CSR slots: row v of ``nbr`` (slots ``off[v]`` to
+``off[v + 1] - 1``) is v's clockwise rotation as given, each slot a dart
+v -> w.  ``out`` flags the slots whose edge leaves v and ``twin`` gives
+the slot of the reverse dart.  The dart after slot i = (u -> v) around its
+right face is the slot just before ``twin[i]`` in v's row, cyclically.
+:class:`OtArrays` is this CSR relabelled by boundary-cycle position.
 
 Since the rotation system alone determines an embedding only up to the
 choice of outer face, the file format fixes it: the rotation array of the
@@ -26,11 +27,12 @@ from __future__ import annotations
 import gc
 import json
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, eq, mul, or_, sub
 from typing import Iterable, Iterator, Sequence
@@ -79,15 +81,16 @@ class EmbeddedDigraph:
 
     Immutable after construction; every derived structure is cached and
     safe for concurrent reads.  Vertices are dense integer ids; ``names``
-    maps them back to the labels used in graph files.  ``off``, ``nbr``,
-    ``out`` and ``twin`` hold the rotation system as CSR slots (see the
-    module docstring); :meth:`from_rows` fills them.
+    maps them back to the labels used in graph files.  ``keys`` holds the
+    edge set (``edges`` is a view of it) and ``off``, ``nbr``, ``out`` and
+    ``twin`` the rotation system (see the module docstring); :meth:`from_rows`
+    fills them.
     """
 
     names: tuple[str, ...]
     s: VertexId
     t: VertexId
-    edges: frozenset[DirectedEdge]
+    keys: array = field(hash=False)
     off: array = field(hash=False)
     nbr: array = field(hash=False)
     out: bytes = field(hash=False)
@@ -109,17 +112,17 @@ class EmbeddedDigraph:
         A row that does not list exactly its vertex's neighbours raises
         ``schema``, before any error raised while reading a later row.
         """
-        names, edges = tuple(names), frozenset(edges)
+        names = tuple(names)
+        keys = array("q", sorted({u * len(names) + v for (u, v) in edges}))
         off, nbr = array("i", [0]), array("i")
         try:
             for row in rows:
                 nbr.extend(row)
                 off.append(len(nbr))
         except GraphError:
-            _check_rows(names, edges, off, nbr)
+            _check_rows(names, keys, off, nbr)
             raise
-        ends = array("i", chain.from_iterable(edges))
-        return cls._from_slots(names, s, t, edges, off, nbr, ends)
+        return cls._from_slots(names, s, t, keys, off, nbr)
 
     @classmethod
     def _from_slots(
@@ -127,19 +130,18 @@ class EmbeddedDigraph:
         names: tuple[str, ...],
         s: VertexId,
         t: VertexId,
-        edges: frozenset[DirectedEdge],
+        keys: array,
         off: array,
         nbr: array,
-        ends: array,
     ) -> EmbeddedDigraph:
-        """The graph with rows ``nbr[off[v]:off[v + 1]]``: pairs the twins
-        with numpy on large graphs, and in pure Python (which names the
-        error of wrong rows) otherwise or when numpy rejects the rows.
-        ``ends`` lists the edges' ends (tail, head, tail, ...)."""
+        """The graph with edge keys ``keys`` (ascending, each edge once)
+        and rows ``nbr[off[v]:off[v + 1]]``: pairs the twins with numpy on
+        large graphs, and in pure Python (which names the error of wrong
+        rows) otherwise or when numpy rejects the rows."""
         np = backend(len(names))
-        paired = None if np is None else _pair_np(np, len(names), edges, off, nbr, ends)
-        out, twin = paired or _pair_py(names, edges, off, nbr)
-        return cls(names, s, t, edges, off, nbr, out, twin)
+        paired = None if np is None else _pair_np(np, len(names), keys, off, nbr)
+        out, twin = paired or _pair_py(names, keys, off, nbr)
+        return cls(names, s, t, keys, off, nbr, out, twin)
 
     @property
     def n(self) -> int:
@@ -147,7 +149,23 @@ class EmbeddedDigraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.keys)
+
+    @cached_property
+    def edges(self) -> frozenset[DirectedEdge]:
+        """The edges as (u, v) tuples, one int object per vertex: a view."""
+        ids = list(range(self.n))
+        return frozenset((ids[u], ids[v]) for u, v in self.pairs())
+
+    def pairs(self) -> Iterator[DirectedEdge]:
+        """The edges as (u, v) pairs in ``keys`` order, i.e. sorted."""
+        return map(divmod, self.keys, repeat(self.n))
+
+    def has_edge(self, u: VertexId, v: VertexId) -> bool:
+        """Whether (u, v) is an edge: one bisect of ``keys``.  O(log m)."""
+        n, keys = self.n, self.keys
+        i = bisect_left(keys, u * n + v)
+        return 0 <= u < n and 0 <= v < n and i < len(keys) and keys[i] == u * n + v
 
     @cached_property
     def id_of(self) -> dict[str, VertexId]:
@@ -164,11 +182,11 @@ class EmbeddedDigraph:
         return f"{self.names[e[0]]}->{self.names[e[1]]}"
 
 
-def _check_rows(names: tuple[str, ...], edges: frozenset, off: array, nbr: array):
+def _check_rows(names: tuple[str, ...], keys: array, off: array, nbr: array):
     """Raise ``schema`` for the first row read so far that does not list
     exactly its vertex's neighbours.  O(m)."""
     adjacency: list[set[VertexId]] = [set() for _ in names]
-    for (u, v) in edges:
+    for (u, v) in map(divmod, keys, repeat(len(names))):
         adjacency[u].add(v)
         adjacency[v].add(u)
     for v in range(len(off) - 1):
@@ -182,40 +200,36 @@ def _check_rows(names: tuple[str, ...], edges: frozenset, off: array, nbr: array
         raise GraphError("schema", message)
 
 
-def _pair_py(
-    names: tuple[str, ...], edges: frozenset, off: array, nbr: array
-) -> tuple[bytes, array]:
+def _pair_py(names: tuple[str, ...], keys: array, off: array, nbr: array):
     """Out flags and twin slots of the rows; raises ``schema`` (see
     :func:`_check_rows`) when they are wrong.  The reference pairing."""
     n = len(names)
-    # Dart v -> w is the number v * n + w.  The rows are right exactly
-    # when their darts are distinct, each has its reverse, one of the two
-    # is an edge, and every edge is there.
+    # Dart v -> w is the number v * n + w, as its edge's key.  The rows
+    # are right exactly when their darts are distinct, each has its
+    # reverse, every edge is one, and one of each two twins is an edge.
     lens = map(sub, off[1:], off)
     tails = array("i", chain.from_iterable(map(repeat, range(n), lens)))
-    out = bytes(map(edges.__contains__, zip(tails, nbr)))
     slot_of = dict(zip(map(add, map(mul, tails, repeat(n)), nbr), count()))
     twin = list(map(slot_of.get, map(add, map(mul, nbr, repeat(n)), tails)))
-    if (
-        len(slot_of) != len(nbr)
-        or None in twin
-        or out.count(1) != len(edges)
-        or not all(map(or_, out, map(out.__getitem__, twin)))
-    ):
-        _check_rows(names, edges, off, nbr)
-    return out, array("i", twin)
+    at = list(map(slot_of.get, keys))
+    if len(slot_of) == len(nbr) and None not in twin and None not in at:
+        out = bytearray(len(nbr))
+        for i in at:
+            out[i] = 1
+        if all(map(or_, out, map(out.__getitem__, twin))):
+            return bytes(out), array("i", twin)
+    _check_rows(names, keys, off, nbr)
 
 
-def _pair_np(np, n: int, edges: frozenset, off: array, nbr: array, ends: array):
+def _pair_np(np, n: int, keys: array, off: array, nbr: array):
     """What :func:`_pair_py` returns, from sorted dart keys, or None where
     it would raise: each dart's twin is found by ``searchsorted`` of its
     reverse key, and its out flag by the same lookup among edge keys."""
-    m, slots = len(edges), len(nbr)
+    m, slots = len(keys), len(nbr)
     if len(off) != n + 1 or not slots or not m:
         return None
     head = np.frombuffer(nbr, dtype=np.intc)
-    ends = np.frombuffer(ends, dtype=np.intc).astype(np.int64)
-    if min(head.min(), ends.min()) < 0 or max(head.max(), ends.max()) >= n:
+    if head.min() < 0 or head.max() >= n:
         return None
     tail = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
     key = tail * n + head
@@ -232,7 +246,7 @@ def _pair_np(np, n: int, edges: frozenset, off: array, nbr: array, ends: array):
     del sorted_key, reverse
     twin = order[at].astype(np.intc)
     del order, at
-    edge_key = np.sort(ends[0::2] * n + ends[1::2])
+    edge_key = np.frombuffer(keys, dtype=np.int64)
     at = np.searchsorted(edge_key, key)
     np.minimum(at, m - 1, out=at)
     out = edge_key[at] == key
@@ -809,17 +823,18 @@ def _read_bulk(data: dict, names: list[str], ids: dict[str, int]):
         nbr = array("i", list(map(get, chain.from_iterable(rows))))
     except (KeyError, TypeError):
         return None
-    # The edge tuples share the ids' int objects, as the graph keeps them.
-    tails, heads = ends[0::2], ends[1::2]
-    if any(map(eq, tails, heads)):
-        return None  # a self-loop
-    edges = frozenset(zip(tails, heads))
-    if len(edges) != len(edge_items):
-        return None  # a duplicate edge
+    n, tails, heads = len(names), ends[0::2], ends[1::2]
+    np = backend(n)
+    if np is None:
+        keys = array("q", sorted(map(add, map(mul, tails, repeat(n)), heads)))
+    else:
+        ends = np.frombuffer(array("i", ends), dtype=np.intc).astype(np.int64)
+        keys = array("q", np.sort(ends[0::2] * n + ends[1::2]).tobytes())
+    if any(map(eq, tails, heads)) or any(map(eq, keys, islice(keys, 1, None))):
+        return None  # a self-loop or an edge listed twice
     off = array("i", [0])
     off.extend(accumulate(map(len, rows)))
-    ends = array("i", ends)
-    return EmbeddedDigraph._from_slots(tuple(names), s, t, edges, off, nbr, ends)
+    return EmbeddedDigraph._from_slots(tuple(names), s, t, keys, off, nbr)
 
 
 def _read_py(data: dict, names: list[str], ids: dict[str, int]) -> EmbeddedDigraph:
@@ -870,9 +885,8 @@ def _read_py(data: dict, names: list[str], ids: dict[str, int]) -> EmbeddedDigra
 def serialize_graph(g: EmbeddedDigraph) -> str:
     """Canonical JSON text; parse_graph round-trips it bit-exactly.  It is
     ``json.dumps`` of the format object with ``indent=2``, written out
-    directly with each name quoted once: the edges sorted as int keys
-    u * n + v (on large graphs by numpy, from the out slots, which are
-    the edges), the rows' names mapped in one pass over ``nbr``."""
+    directly with each name quoted once: the edges in key order, which
+    sorts them, the rows' names mapped in one pass over ``nbr``."""
     q = list(map(encode_basestring_ascii, g.names))
     n, off = g.n, g.off
     qn = list(map(q.__getitem__, g.nbr))
@@ -881,15 +895,7 @@ def serialize_graph(g: EmbeddedDigraph) -> str:
         sep = f",\n{ind}  "
         return f"[\n{ind}  {sep.join(items)}\n{ind}]" if items else "[]"
 
-    np = backend(n)
-    if np is None:
-        keys = sorted([u * n + v for (u, v) in g.edges])
-    else:
-        deg = np.diff(np.frombuffer(off, dtype=np.intc))
-        keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n
-        keys += np.frombuffer(g.nbr, dtype=np.intc)
-        keys = np.sort(keys[np.frombuffer(g.out, dtype=np.bool_)]).tolist()
-    edges = [f"[\n      {q[k // n]},\n      {q[k % n]}\n    ]" for k in keys]
+    edges = [f"[\n      {q[k // n]},\n      {q[k % n]}\n    ]" for k in g.keys]
     rows = [f"{q[v]}: " + block(qn[off[v] : off[v + 1]], "    ") for v in range(n)]
     return (
         f'{{\n  "vertices": {block(q, "  ")},\n  "source": {q[g.s]},\n'
@@ -1014,7 +1020,7 @@ def edge_sidedness(g: OTStDigraph, e: DirectedEdge) -> Sidedness:
     Edges incident to s or t count as one-sided, taking the side of the
     other endpoint; the edge (s, t) itself counts as one-sided left.
     """
-    if e not in g.base.edges:
+    if not g.base.has_edge(*e):
         raise GraphError("unknown-edge", f"edge {e} is not in the graph")
     # Cycle positions 1..k are the left chain and k + 2.. the right one;
     # s (0) and t (k + 1) lie on neither.

@@ -229,7 +229,7 @@ def _slots_py(
         zip(range(t_at + 1, n), range(t_at, n - 1)),
         ((a, b) for (a, b) in chain([(0, n - 1)], oriented) if abs(a - b) != 1),
     )
-    edges: set[tuple[int, int]] = set()
+    edges: set[int] = set()  # each edge (u, v) of ids as u * n + v
     deg = [0] * n
     # Row p lists its neighbours q by increasing offset (q - p) mod n: the
     # slots sort by p * 2n + (q, or q + n when q < p), which also keeps q
@@ -237,7 +237,7 @@ def _slots_py(
     keys: list[int] = []
     n2 = 2 * n
     for (a, b) in all_edges:
-        e = (cycle[a], cycle[b])
+        e = cycle[a] * n + cycle[b]
         if e in edges:
             continue
         edges.add(e)
@@ -250,8 +250,10 @@ def _slots_py(
     del keys
     off = array("i", accumulate(deg, initial=0))
     rows = (map(cycle.__getitem__, nbr[off[p] : off[p + 1]]) for p in pos)
-    edges = frozenset(edges)  # the graph's own; the set is freed
-    g = EmbeddedDigraph.from_rows(names, cycle[0], cycle[t_at], edges, rows)
+    vnbr = array("i", chain.from_iterable(rows))
+    voff = array("i", accumulate(map(deg.__getitem__, pos), initial=0))
+    s, t, keys = cycle[0], cycle[t_at], array("q", sorted(edges))
+    g = EmbeddedDigraph._from_slots(tuple(names), s, t, keys, voff, vnbr)
     # Row p above is the base's row of vertex cycle[p], slot for slot.
     out = None if validate else b"".join(g.out[g.off[v] : g.off[v + 1]] for v in cycle)
     return g, t_at, off, nbr, out
@@ -266,8 +268,7 @@ def _slots_np(
 ) -> tuple[EmbeddedDigraph, int, array, array, bytes]:
     """:func:`_slots_py`'s results, out flags included, from one sort of
     the slot keys in numpy; each key's lowest bit flags the edge's tail.
-    The base's rows are the position rows gathered into id order, and the
-    edge tuples share the ids' int objects."""
+    The base's rows are the position rows gathered into id order."""
     n, n2 = len(names), 2 * len(names)
     cyc = np.array(cycle, dtype=np.int64)
     pos = np.empty(n, dtype=np.int64)
@@ -297,7 +298,7 @@ def _slots_np(
     deg = np.bincount(row, minlength=n)
     off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=off[1:])
-    tails, heads = row[out], nbr[out]
+    edges = array("q", np.sort(cyc[row[out]] * n + cyc[nbr[out]]).tobytes())
     del row
     # Vertex v's row is position pos[v]'s, relabelled to ids.
     vdeg = deg[pos]
@@ -305,21 +306,14 @@ def _slots_np(
     np.cumsum(vdeg, out=voff[1:])
     src = np.repeat(off[:-1][pos] - voff[:-1], vdeg) + np.arange(len(nbr))
     vnbr = cyc[nbr[src]]
-    del src, vdeg, deg, pos
-    vends = np.empty(2 * len(tails), dtype=np.intc)
-    vends[0::2], vends[1::2] = cyc[tails], cyc[heads]
-    del cyc
+    del src, vdeg, deg, pos, cyc
 
     def ints(a) -> array:
         return array("i", a.astype(np.intc).tobytes())
 
-    off, nbr, voff, vnbr, vends = map(ints, (off, nbr, voff, vnbr, vends))
-    tails, heads = ints(tails), ints(heads)
-    at = cycle.__getitem__
-    edges = frozenset(zip(map(at, tails), map(at, heads)))
-    del tails, heads
+    off, nbr, voff, vnbr = map(ints, (off, nbr, voff, vnbr))
     s, t = cycle[0], cycle[t_at]
-    g = EmbeddedDigraph._from_slots(tuple(names), s, t, edges, voff, vnbr, vends)
+    g = EmbeddedDigraph._from_slots(tuple(names), s, t, edges, voff, vnbr)
     return g, t_at, off, nbr, out.tobytes()
 
 

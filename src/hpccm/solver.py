@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -359,7 +359,7 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     to b to the rest of the cycle, not to a or b.  They are counted as A's
     degree sum less twice the edges inside A less those to a and b, and a
     list is right when its entries are distinct, forced and as many.
-    O(m log n + C log C) for C listed crossings (a wrong list is compared
+    O(m log n + C log m) for C listed crossings (a wrong list is compared
     with every edge, to name the difference).
     """
     base = g.base
@@ -374,9 +374,15 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     rank = [0] * n
     for i, v in enumerate(path):
         rank[v] = i
-    expected_completion = tuple(
-        (a, b) for a, b in zip(path, path[1:]) if (a, b) not in base.edges
-    )
+    # One pass over the edges finds the path steps that are not edges and
+    # the edges that run backwards.
+    gaps, backward = bytearray([1]) * (n - 1), []
+    for (u, v) in base.pairs():
+        if rank[v] == rank[u] + 1:
+            gaps[rank[u]] = 0
+        elif rank[u] >= rank[v]:
+            backward.append((u, v))
+    expected_completion = tuple(compress(zip(path, path[1:]), gaps))
     if tuple(r.completion_edges) != expected_completion:
         out.append(
             "completion edges are not exactly the consecutive path "
@@ -386,11 +392,7 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     if len(r.crossings) != len(r.completion_edges):
         out.append("crossing lists do not match completion edges")
         return out
-    for (u, v) in base.edges:
-        if rank[u] >= rank[v]:
-            out.append(
-                f"edge {base.name_edge((u, v))} runs backwards along the path"
-            )
+    out += [f"edge {base.name_edge(e)} runs backwards along the path" for e in backward]
     if r.total_crossings != sum(len(c) for c in r.crossings):
         out.append("total_crossings does not equal the sum of list lengths")
     cyc = g.cycle_pos
@@ -413,9 +415,9 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
                 forced -= 1
         listed = set(lst)
         if len(listed) != forced or not all(
-            e in base.edges and interleaves(cyc, n, ce, e) for e in listed
+            base.has_edge(*e) and interleaves(cyc, n, ce, e) for e in listed
         ):
-            forced_set = {e for e in base.edges if interleaves(cyc, n, ce, e)}
+            forced_set = {e for e in base.pairs() if interleaves(cyc, n, ce, e)}
             missing = forced_set - listed
             extra = listed - forced_set
             out.append(

@@ -176,6 +176,16 @@ def kernel_profiles(oracle_draw_list) -> list[GenProfile]:
 # Brute-force checkers, independent of the library's algorithms
 
 
+def check_key_column(g, edges):
+    """``g``'s key column is ``edges`` (a set of id pairs) as ascending
+    keys u * n + v, and ``g.edges`` is that set."""
+    keys = g.keys
+    assert keys.typecode == "q" and g.m == len(keys) == len(edges)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert list(keys) == sorted(u * g.n + v for u, v in edges)
+    assert g.edges == edges and list(g.pairs()) == sorted(edges)
+
+
 def brute_is_median(g: OTStDigraph, e) -> bool:
     """Definition-level search: some st-polygon subgraph has median ``e``,
     equivalently the five-edge rhombus pattern u->a->v, u->b->v, u->v

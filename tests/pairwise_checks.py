@@ -70,7 +70,7 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     if len(r.crossings) != len(r.completion_edges):
         out.append("crossing lists do not match completion edges")
         return out
-    for (u, v) in base.edges:
+    for (u, v) in sorted(base.edges):
         if rank[u] >= rank[v]:
             out.append(
                 f"edge {base.name_edge((u, v))} runs backwards along the path"
@@ -156,7 +156,7 @@ def validate_embedding(g: EmbeddedDigraph, b: BookEmbedding) -> list[str]:
         rank[v] = i
     if set(b.assignment) != set(g.edges):
         return ["assignment does not cover exactly the edge set"]
-    for (x, y) in g.edges:
+    for (x, y) in sorted(g.edges):
         if rank[x] >= rank[y]:
             out.append(f"edge {g.name_edge((x, y))} is not upward on the spine")
     split_crossings = []

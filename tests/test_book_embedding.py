@@ -3,22 +3,31 @@ from dataclasses import replace
 
 import pytest
 
+import hpccm.graph_model as gm
 from hpccm import (
     BookEmbedding,
+    EmbeddedDigraph,
     GraphError,
     OTStDigraph,
     PageArc,
     SplitArc,
+    classify_ot,
+    edge_sidedness,
     from_book_embedding,
+    hamiltonian_path,
     is_median,
     maximal_polygon,
+    parse_graph,
+    polygon_stack,
     render_svg,
     render_text,
+    serialize_graph,
     solve,
     to_book_embedding,
     validate_embedding,
     verify_solution,
 )
+from hpccm.hamiltonicity import rhombus_columns
 
 
 def test_triangle_embedding(tri):
@@ -101,6 +110,42 @@ def test_ot_layers_read_no_rotations(corpus, pfp, stack3, f9):
             assert is_median(blind, e) == is_median(ot, e)
             if is_median(ot, e):
                 assert maximal_polygon(blind, e) == maximal_polygon(ot, e)
+
+
+def _every_layer(text: str) -> tuple:
+    """The answers of every layer a user runs on a graph file, from the
+    parse to the per-edge queries."""
+    g = parse_graph(text)
+    ot = classify_ot(g)
+    r = solve(ot)  # checked by verify_solution
+    b = to_book_embedding(ot, r)
+    assert validate_embedding(g, b) == []
+    back = from_book_embedding(g, b)
+    medians = [e for e in g.pairs() if is_median(ot, e)]
+    return (
+        r, back, render_text(b), serialize_graph(g),
+        rhombus_columns(g), hamiltonian_path(g),
+        [edge_sidedness(ot, e) for e in g.pairs()],
+        medians, [maximal_polygon(ot, e) for e in medians],
+    )
+
+
+def _edges_read(self):
+    raise AssertionError("a layer read EmbeddedDigraph.edges")
+
+
+def test_layers_read_no_edge_tuples(kernel_corpus, monkeypatch):
+    # The key column is the edge set: with ``edges`` raising on read, every
+    # layer gives the same answers, at the default threshold (numpy for the
+    # stack of 9999 polygons only) and with numpy for all.
+    texts = [serialize_graph(ot.base) for ot in kernel_corpus]
+    texts.append(serialize_graph(polygon_stack(9999).base))
+    expected = list(map(_every_layer, texts))
+    monkeypatch.setattr(EmbeddedDigraph, "edges", property(_edges_read))
+    assert list(map(_every_layer, texts)) == expected
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    assert list(map(_every_layer, texts)) == expected
 
 
 def test_validate_rejects_page_flip(rh):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -259,3 +260,41 @@ def test_main_runs_without_the_collector(f9_file, capsys, monkeypatch):
         assert gc.isenabled()
     assert seen == [False, False, False]
     assert "hamiltonian: none" in capsys.readouterr().out
+
+
+# sha256 of the exit code and stdout of validate, check, decompose, solve
+# and embed on every file of _digest_files, in order (see _cli_digest).
+CLI_DIGEST = "914f65f42b4f7e0412628bf50d8dfe458d7dd5e85a72fb098b18398ede287427"
+
+
+def _digest_files(tmp_path, corpus):
+    """The 160 corpus draws, the polygon_stack(9999) file (n = 20000) and
+    a rhombus-free chain of n = 20000, written as graph files."""
+    from hpccm import GenProfile, polygon_stack, random_ot
+
+    graphs = [
+        *corpus,
+        polygon_stack(9999),
+        random_ot(GenProfile(n_left=0, n_right=19998, polygon_bias=0.5, seed=7)),
+    ]
+    for i, ot in enumerate(graphs):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(serialize_graph(ot.base), encoding="utf-8")
+        yield str(path)
+
+
+def _cli_digest(paths, capsys) -> str:
+    digest = hashlib.sha256()
+    for path in paths:
+        for command in ("validate", "check", "decompose", "solve", "embed"):
+            code = run([command, path])
+            digest.update(f"{command} {code}\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+    return digest.hexdigest()
+
+
+def test_cli_output_digest(tmp_path, corpus, capsys):
+    # The byte-stable stdout contract over the corpus and both numpy-sized
+    # families: any change to what a command prints, or to its exit code,
+    # changes the digest.
+    assert _cli_digest(_digest_files(tmp_path, corpus), capsys) == CLI_DIGEST

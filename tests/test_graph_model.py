@@ -29,6 +29,8 @@ from hpccm import (
 )
 from hpccm.graph_model import _FORMAT_KEYS
 
+from conftest import check_key_column
+
 TRIANGLE_JSON = json.dumps(
     {
         "vertices": ["s", "v", "t"],
@@ -847,27 +849,65 @@ def _pure_path_fails(*args):
     raise AssertionError("the pure-Python load path ran")
 
 
+# from_rows on the triangle s, v, t with an edge given twice, and with an
+# edge given with its reverse: the edge count, slots and verdict of
+# validate_embedded, as at the frozenset edge set.
+FROM_ROWS_CASES = {
+    "repeated": (
+        [(0, 1), (0, 1), (1, 2), (0, 2)],
+        (3, [0, 2, 4, 6], [1, 2, 2, 0, 0, 1], [1, 1, 1, 0, 0, 0], [3, 4, 5, 0, 1, 2],
+         "valid"),
+    ),
+    "with its reverse": (
+        [(0, 1), (1, 0), (1, 2), (0, 2)],
+        (4, [0, 2, 4, 6], [1, 2, 2, 0, 0, 1], [1, 1, 1, 1, 0, 0], [3, 4, 5, 0, 1, 2],
+         "multi-source", "expected s as the unique source, found []"),
+    ),
+}
+
+
+def _from_rows_outcome(edges):
+    g = EmbeddedDigraph.from_rows(("s", "v", "t"), 0, 2, edges, [[1, 2], [2, 0], [0, 1]])
+    check_key_column(g, frozenset(edges))
+    slots = (g.m, list(g.off), list(g.nbr), list(g.out), list(g.twin))
+    try:
+        gm.validate_embedded(g)
+    except GraphError as exc:
+        return slots + (exc.kind, str(exc))
+    return slots + ("valid",)
+
+
 def test_numpy_load_matches_pure(kernel_corpus, monkeypatch):
     # With the threshold at 0 every graph loads through numpy, which must
-    # accept each valid file itself and give the pure path's arrays.
+    # accept each valid file itself and give the pure path's arrays and
+    # key column; equal graphs compare equal and hash alike.
     pytest.importorskip("numpy")
     draws = (GenProfile(700, 900, polygon_bias=b, seed=11) for b in (0, 0.5, 1))
     instances = [*kernel_corpus, *map(random_ot, draws)]
     texts = [serialize_graph(ot.base) for ot in instances]
     pure = [classify_ot(parse_graph(text)) for text in texts]
     stacks = [polygon_stack(k, validate=False) for k in range(1, 9)]
+    for text, ref in zip(texts, pure):
+        data = json.loads(text)
+        ids = ref.base.id_of
+        check_key_column(ref.base, frozenset((ids[u], ids[v]) for u, v in data["edges"]))
+    for edges, expected in FROM_ROWS_CASES.values():
+        assert _from_rows_outcome(edges) == expected
     monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    for edges, expected in FROM_ROWS_CASES.values():
+        assert _from_rows_outcome(edges) == expected
     for name in ("_read_py", "_pair_py", "_validate_py", "_cycle_py", "_arrays_py", "_rank_py"):
         monkeypatch.setattr(gm, name, _pure_path_fails)
     for text, ref in zip(texts, pure):
         ot = classify_ot(parse_graph(text))
-        for name in ("off", "nbr", "out", "twin", "edges"):
+        for name in ("off", "nbr", "out", "twin", "keys", "edges"):
             assert getattr(ot.base, name) == getattr(ref.base, name), name
+        assert ot.base == ref.base and hash(ot.base) == hash(ref.base)
         for name in gm.OtArrays.__slots__:
             assert getattr(ot.arrays, name) == getattr(ref.arrays, name), name
     for k, ref in enumerate(stacks, 1):
         ot = polygon_stack(k)  # built by numpy and classified
-        assert ot.base == ref.base
+        assert ot.base == ref.base and hash(ot.base) == hash(ref.base)
         for name in gm.OtArrays.__slots__:
             assert getattr(ot.arrays, name) == getattr(ref.arrays, name), name
 

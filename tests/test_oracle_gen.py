@@ -21,7 +21,7 @@ from hpccm import (
 )
 import pytest
 
-from conftest import fan_polygon, make_pfp
+from conftest import check_key_column, fan_polygon, make_pfp
 
 
 def test_profile_validation():
@@ -234,8 +234,14 @@ def test_numpy_builder_matches_pure(kernel_profiles, monkeypatch):
         if isinstance(ref, tuple):
             assert ot == ref
             continue
-        for name in ("names", "s", "t", "edges", "off", "nbr", "out", "twin"):
+        for name in ("names", "s", "t", "keys", "edges", "off", "nbr", "out", "twin"):
             assert getattr(ot.base, name) == getattr(ref.base, name), (i, name)
+        g = ref.base
+        out_slots = frozenset(
+            (v, g.nbr[j]) for v in range(g.n) for j in range(g.off[v], g.off[v + 1]) if g.out[j]
+        )
+        check_key_column(g, out_slots)
+        assert ot.base == g and hash(ot.base) == hash(g)
         for name in gm.OtArrays.__slots__:
             assert getattr(ot.arrays, name) == getattr(ref.arrays, name), (i, name)
     # Only the crossing chords reach the pure classifier, which names the
