@@ -161,11 +161,14 @@ def validate_embedding(g: EmbeddedDigraph, b: BookEmbedding) -> list[str]:
     rank = [0] * n
     for i, v in enumerate(b.spine):
         rank[v] = i
-    if set(b.assignment) != set(g.pairs()):
+    # As many assigned edges as edges, each edge assigned: the same set.
+    if len(b.assignment) != g.m:
         return ["assignment does not cover exactly the edge set"]
-    for (x, y) in g.pairs():
-        if rank[x] >= rank[y]:
-            out.append(f"edge {g.name_edge((x, y))} is not upward on the spine")
+    for e in g.pairs():
+        if e not in b.assignment:
+            return ["assignment does not cover exactly the edge set"]
+        if rank[e[0]] >= rank[e[1]]:
+            out.append(f"edge {g.name_edge(e)} is not upward on the spine")
     split_crossings = []
     for e, placement in b.assignment.items():
         if isinstance(placement, PageArc):

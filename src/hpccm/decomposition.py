@@ -101,10 +101,10 @@ def _polygon_record(g: OTStDigraph, cols: Sequence[int]) -> StPolygon:
         right_chain=right,
         lower_limit=(su, cyc[low]) if low >= 0 else None,
         upper_limit=(cyc[up], sv) if up >= 0 else None,
-        src_adj_left=tuple(has(su, x) for x in left),
-        src_adj_right=tuple(has(su, x) for x in right),
-        sink_adj_left=tuple(has(x, sv) for x in left),
-        sink_adj_right=tuple(has(x, sv) for x in right),
+        src_adj_left=tuple(has((su, x)) for x in left),
+        src_adj_right=tuple(has((su, x)) for x in right),
+        sink_adj_left=tuple(has((x, sv)) for x in left),
+        sink_adj_right=tuple(has((x, sv)) for x in right),
     )
 
 
@@ -115,7 +115,7 @@ def _position_of_edge(g: OTStDigraph, e: DirectedEdge) -> tuple[int, int]:
     (q - p) mod n around the boundary cycle, so one binary search over the
     row finds the head: O(log deg).
     """
-    if not g.base.has_edge(*e):
+    if not g.base.has_edge(e):
         raise GraphError("unknown-edge", f"edge {e} is not in the graph")
     a = g.arrays
     n = a.n

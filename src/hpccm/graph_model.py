@@ -29,6 +29,7 @@ import json
 from array import array
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -110,18 +111,22 @@ class EmbeddedDigraph:
         Fills the slots and pairs the two slots of each edge as twins; an
         edge and its reverse, if both are given, share one pair of slots.
         A row that does not list exactly its vertex's neighbours raises
-        ``schema``, before any error raised while reading a later row.
+        ``schema``, before any error raised while reading a later row; so
+        does an edge end that is no vertex id, after the rows.
         """
-        names = tuple(names)
-        keys = array("q", sorted({u * len(names) + v for (u, v) in edges}))
+        names, edges = tuple(names), frozenset(edges)
+        n = len(names)
         off, nbr = array("i", [0]), array("i")
         try:
             for row in rows:
                 nbr.extend(row)
                 off.append(len(nbr))
+            if not all(0 <= u < n and 0 <= v < n for (u, v) in edges):
+                raise GraphError("schema", "an edge end is not a vertex id")
         except GraphError:
-            _check_rows(names, keys, off, nbr)
+            _check_rows(names, edges, off, nbr)
             raise
+        keys = array("q", sorted(u * n + v for (u, v) in edges))
         return cls._from_slots(names, s, t, keys, off, nbr)
 
     @classmethod
@@ -151,21 +156,26 @@ class EmbeddedDigraph:
     def m(self) -> int:
         return len(self.keys)
 
-    @cached_property
-    def edges(self) -> frozenset[DirectedEdge]:
-        """The edges as (u, v) tuples, one int object per vertex: a view."""
-        ids = list(range(self.n))
-        return frozenset((ids[u], ids[v]) for u, v in self.pairs())
+    @property
+    def edges(self) -> EdgeSet:
+        """The edges as a set of (u, v) tuples: a view of ``keys``."""
+        return EdgeSet(self)
 
     def pairs(self) -> Iterator[DirectedEdge]:
         """The edges as (u, v) pairs in ``keys`` order, i.e. sorted."""
         return map(divmod, self.keys, repeat(self.n))
 
-    def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        """Whether (u, v) is an edge: one bisect of ``keys``.  O(log m)."""
-        n, keys = self.n, self.keys
-        i = bisect_left(keys, u * n + v)
-        return 0 <= u < n and 0 <= v < n and i < len(keys) and keys[i] == u * n + v
+    def has_edge(self, e: object) -> bool:
+        """Whether ``e`` is an edge (u, v): one bisect of ``keys``.  Anything
+        but a pair of vertex ids is none.  O(log m)."""
+        n, keys = len(self.names), self.keys
+        try:
+            u, v = e
+            k = u * n + v if 0 <= u < n and 0 <= v < n else -1
+        except (TypeError, ValueError):
+            return False
+        i = bisect_left(keys, k)
+        return i < len(keys) and keys[i] == k
 
     @cached_property
     def id_of(self) -> dict[str, VertexId]:
@@ -182,18 +192,49 @@ class EmbeddedDigraph:
         return f"{self.names[e[0]]}->{self.names[e[1]]}"
 
 
-def _check_rows(names: tuple[str, ...], keys: array, off: array, nbr: array):
+class EdgeSet(Set):
+    """A graph's edges as a read-only set of (u, v) tuples read off its
+    ``keys``, in key order and one int object per vertex: nothing is
+    stored per edge, and two views compare by their keys."""
+
+    __slots__ = ("_g",)
+    __hash__ = Set._hash
+
+    def __init__(self, g: EmbeddedDigraph):
+        self._g = g
+
+    def __len__(self) -> int:
+        return self._g.m
+
+    def __iter__(self) -> Iterator[DirectedEdge]:
+        ids = list(range(self._g.n))
+        return ((ids[u], ids[v]) for u, v in self._g.pairs())
+
+    def __contains__(self, e: object) -> bool:
+        return self._g.has_edge(e)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EdgeSet) and other._g.n == self._g.n:
+            return self._g.keys == other._g.keys
+        return super().__eq__(other)
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[DirectedEdge]) -> frozenset:
+        return frozenset(it)
+
+
+def _check_rows(names: tuple[str, ...], edges: Iterable, off: array, nbr: array):
     """Raise ``schema`` for the first row read so far that does not list
     exactly its vertex's neighbours.  O(m)."""
-    adjacency: list[set[VertexId]] = [set() for _ in names]
-    for (u, v) in map(divmod, keys, repeat(len(names))):
-        adjacency[u].add(v)
-        adjacency[v].add(u)
+    adjacency: dict[VertexId, set[VertexId]] = {}
+    for (u, v) in edges:
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
     for v in range(len(off) - 1):
         row = nbr[off[v] : off[v + 1]]
         if len(set(row)) != len(row):
             message = f"repeated neighbour in rotation of {names[v]!r}"
-        elif set(row) != adjacency[v]:
+        elif set(row) != adjacency.get(v, set()):
             message = f"rotation of {names[v]!r} does not list exactly its neighbours"
         else:
             continue
@@ -218,7 +259,7 @@ def _pair_py(names: tuple[str, ...], keys: array, off: array, nbr: array):
             out[i] = 1
         if all(map(or_, out, map(out.__getitem__, twin))):
             return bytes(out), array("i", twin)
-    _check_rows(names, keys, off, nbr)
+    _check_rows(names, map(divmod, keys, repeat(n)), off, nbr)
 
 
 def _pair_np(np, n: int, keys: array, off: array, nbr: array):
@@ -823,15 +864,20 @@ def _read_bulk(data: dict, names: list[str], ids: dict[str, int]):
         nbr = array("i", list(map(get, chain.from_iterable(rows))))
     except (KeyError, TypeError):
         return None
-    n, tails, heads = len(names), ends[0::2], ends[1::2]
-    np = backend(n)
-    if np is None:
-        keys = array("q", sorted(map(add, map(mul, tails, repeat(n)), heads)))
-    else:
+    # A self-loop has equal ends, an edge listed twice equal neighbouring keys.
+    n, np = len(names), backend(len(names))
+    if np is not None:
         ends = np.frombuffer(array("i", ends), dtype=np.intc).astype(np.int64)
-        keys = array("q", np.sort(ends[0::2] * n + ends[1::2]).tobytes())
-    if any(map(eq, tails, heads)) or any(map(eq, keys, islice(keys, 1, None))):
-        return None  # a self-loop or an edge listed twice
+    tails, heads = ends[0::2], ends[1::2]
+    if np is None:
+        k = sorted(map(add, map(mul, tails, repeat(n)), heads))
+        bad = any(map(eq, tails, heads)) or any(map(eq, k, islice(k, 1, None)))
+    else:
+        k = np.sort(tails * n + heads)
+        bad = (tails == heads).any() or (k[1:] == k[:-1]).any()
+    if bad:
+        return None
+    keys = array("q", k if np is None else k.tobytes())
     off = array("i", [0])
     off.extend(accumulate(map(len, rows)))
     return EmbeddedDigraph._from_slots(tuple(names), s, t, keys, off, nbr)
@@ -1020,7 +1066,7 @@ def edge_sidedness(g: OTStDigraph, e: DirectedEdge) -> Sidedness:
     Edges incident to s or t count as one-sided, taking the side of the
     other endpoint; the edge (s, t) itself counts as one-sided left.
     """
-    if not g.base.has_edge(*e):
+    if not g.base.has_edge(e):
         raise GraphError("unknown-edge", f"edge {e} is not in the graph")
     # Cycle positions 1..k are the left chain and k + 2.. the right one;
     # s (0) and t (k + 1) lie on neither.

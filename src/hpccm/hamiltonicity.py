@@ -122,7 +122,7 @@ def hamiltonian_path(g: EmbeddedDigraph) -> Optional[tuple[VertexId, ...]]:
         order, joined = found
         return tuple(order.tolist()) if joined else None
     order, ambiguous = g.kahn
-    if ambiguous or len(order) != g.n or not all(map(g.has_edge, order, order[1:])):
+    if ambiguous or len(order) != g.n or not all(map(g.has_edge, zip(order, order[1:]))):
         return None
     return tuple(order)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -374,15 +374,13 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     rank = [0] * n
     for i, v in enumerate(path):
         rank[v] = i
-    # One pass over the edges finds the path steps that are not edges and
-    # the edges that run backwards.
-    gaps, backward = bytearray([1]) * (n - 1), []
-    for (u, v) in base.pairs():
-        if rank[v] == rank[u] + 1:
-            gaps[rank[u]] = 0
-        elif rank[u] >= rank[v]:
-            backward.append((u, v))
-    expected_completion = tuple(compress(zip(path, path[1:]), gaps))
+    # Path steps as edge keys u * n + v: the steps that are no edge are
+    # the completion.
+    keys = base.keys
+    edge_keys = set(keys)
+    expected_completion = tuple(
+        (a, b) for a, b in zip(path, path[1:]) if a * n + b not in edge_keys
+    )
     if tuple(r.completion_edges) != expected_completion:
         out.append(
             "completion edges are not exactly the consecutive path "
@@ -392,7 +390,11 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     if len(r.crossings) != len(r.completion_edges):
         out.append("crossing lists do not match completion edges")
         return out
-    out += [f"edge {base.name_edge(e)} runs backwards along the path" for e in backward]
+    out += [
+        f"edge {base.name_edge(divmod(k, n))} runs backwards along the path"
+        for k in keys
+        if rank[k // n] >= rank[k % n]
+    ]
     if r.total_crossings != sum(len(c) for c in r.crossings):
         out.append("total_crossings does not equal the sum of list lengths")
     cyc = g.cycle_pos
@@ -415,7 +417,7 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
                 forced -= 1
         listed = set(lst)
         if len(listed) != forced or not all(
-            base.has_edge(*e) and interleaves(cyc, n, ce, e) for e in listed
+            base.has_edge(e) and interleaves(cyc, n, ce, e) for e in listed
         ):
             forced_set = {e for e in base.pairs() if interleaves(cyc, n, ce, e)}
             missing = forced_set - listed

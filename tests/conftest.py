@@ -184,6 +184,7 @@ def check_key_column(g, edges):
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert list(keys) == sorted(u * g.n + v for u, v in edges)
     assert g.edges == edges and list(g.pairs()) == sorted(edges)
+    assert hash(g.edges) == hash(frozenset(edges)) and g.edges | set() == edges
 
 
 def brute_is_median(g: OTStDigraph, e) -> bool:

@@ -5,6 +5,7 @@ from hpccm import (
     GraphError,
     StPolygon,
     decompose,
+    edge_sidedness,
     find_rhombi,
     is_median,
     maximal_polygon,
@@ -27,9 +28,12 @@ def test_boundary_edge_not_median(pfp):
 
 
 def test_unknown_edge_raises(rh):
-    with pytest.raises(GraphError) as exc:
-        is_median(rh, (1, 3))
-    assert exc.value.kind == "unknown-edge"
+    # A pair of names, a wrong arity or an id out of range is no edge either.
+    for e in [(1, 3), ("s", "t"), (0,), (0, 1, 2), (0, 7), (-1, 0)]:
+        for query in (is_median, maximal_polygon, edge_sidedness):
+            with pytest.raises(GraphError) as exc:
+                query(rh, e)
+            assert exc.value.kind == "unknown-edge", (query, e)
 
 
 def test_is_median_matches_brute_force(corpus):

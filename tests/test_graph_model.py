@@ -851,7 +851,9 @@ def _pure_path_fails(*args):
 
 # from_rows on the triangle s, v, t with an edge given twice, and with an
 # edge given with its reverse: the edge count, slots and verdict of
-# validate_embedded, as at the frozenset edge set.
+# validate_embedded, as at the frozenset edge set.  An edge end outside
+# the ids must not alias another edge's key (1 * 3 - 1 and 0 * 3 + 3 are
+# the keys of (0, 2) and (1, 0)): from_rows raises.
 FROM_ROWS_CASES = {
     "repeated": (
         [(0, 1), (0, 1), (1, 2), (0, 2)],
@@ -863,11 +865,22 @@ FROM_ROWS_CASES = {
         (4, [0, 2, 4, 6], [1, 2, 2, 0, 0, 1], [1, 1, 1, 1, 0, 0], [3, 4, 5, 0, 1, 2],
          "multi-source", "expected s as the unique source, found []"),
     ),
+    "end below 0": (
+        [(0, 1), (1, 2), (1, -1)],
+        ("schema", "rotation of 's' does not list exactly its neighbours"),
+    ),
+    "end past n - 1": (
+        [(0, 1), (1, 2), (0, 2), (0, 3)],
+        ("schema", "rotation of 's' does not list exactly its neighbours"),
+    ),
 }
 
 
 def _from_rows_outcome(edges):
-    g = EmbeddedDigraph.from_rows(("s", "v", "t"), 0, 2, edges, [[1, 2], [2, 0], [0, 1]])
+    try:
+        g = EmbeddedDigraph.from_rows(("s", "v", "t"), 0, 2, edges, [[1, 2], [2, 0], [0, 1]])
+    except GraphError as exc:
+        return (exc.kind, str(exc))
     check_key_column(g, frozenset(edges))
     slots = (g.m, list(g.off), list(g.nbr), list(g.out), list(g.twin))
     try:
