@@ -22,18 +22,21 @@ position, which faces the outer face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
-from typing import Union
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, repeat
+from operator import sub
+from typing import NamedTuple, Optional, Union
 
+from .core import Deferred
 from .graph_model import (
     DirectedEdge,
     EmbeddedDigraph,
     GraphError,
     OTStDigraph,
     VertexId,
+    backend,
 )
-from .solver import HpCompletionResult, verify_solution
+from .solver import HpCompletionResult, result_columns, verify_solution
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,10 @@ class PageArc:
     page: str  # 'L' or 'R'
 
 
+# The two whole-arc placements, indexed by 1 for page R.
+_PAGES = (PageArc("L"), PageArc("R"))
+
+
 @dataclass(frozen=True)
 class SplitArc:
     lower_page: str
@@ -61,12 +68,38 @@ class SplitArc:
 Placement = Union[PageArc, SplitArc]
 
 
+class PageColumns(NamedTuple):
+    """A book embedding as columns.  ``spine`` holds the vertex ids along
+    the spine, and ``codes`` per edge, in key order, 4 (lo * n + hi) +
+    2 p + f, with lo and hi the spine ranks of its ends, p = 1 if it
+    leaves its lower end on page R and f = 1 if its page changes on the
+    way.  Per spine crossing, in spine order: ``xs`` and ``ys`` the ids of
+    its edge's ends, ``crossed`` that edge's lo * n + hi, ``gaps`` its gap
+    and ``ranks`` its rank in the gap."""
+
+    n: int
+    spine: list[int]
+    codes: list[int]
+    xs: list[int]
+    ys: list[int]
+    crossed: list[int]
+    gaps: list[int]
+    ranks: list[int]
+
+
 @dataclass(frozen=True)
-class BookEmbedding:
+class BookEmbedding(Deferred):
+    """Spine order, a placement per edge and the spine crossings in spine
+    order.  One :func:`to_book_embedding` makes keeps its ``columns`` and
+    builds the records from them on first read."""
+
     names: tuple[str, ...]
     spine: tuple[VertexId, ...]
     assignment: dict[DirectedEdge, Placement]
     crossings: tuple[SpineCrossing, ...]
+    columns: Optional[PageColumns] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 def to_book_embedding(g: OTStDigraph, r: HpCompletionResult) -> BookEmbedding:
@@ -74,70 +107,121 @@ def to_book_embedding(g: OTStDigraph, r: HpCompletionResult) -> BookEmbedding:
 
     Each graph edge crossed by a completion edge splits at a spine
     crossing in that completion edge's gap; crossings within one gap keep
-    the order in which they occur along the completion edge.
+    the order in which they occur along the completion edge.  Runs on the
+    result's position columns once :func:`verify_solution` has accepted
+    them.
     """
     violations = verify_solution(g, r)
     if violations:
         raise GraphError("invalid-solution", violations[0])
-    base = g.base
-    n = base.n
-    path = r.path
-    rank = [0] * n
-    for i, v in enumerate(path):
-        rank[v] = i
-    crossing_of: dict[DirectedEdge, SpineCrossing] = {}
-    for ce, lst in zip(r.completion_edges, r.crossings):
-        gap = rank[ce[0]]
-        for j, e in enumerate(lst):
-            crossing_of[e] = SpineCrossing(edge=e, gap=gap, rank_in_gap=j)
+    c = result_columns(g, r)
+    np = backend(g.n)
+    cols = (_pages_py if np is None else _pages_np)(np, g, c)
+    _check_sides(g, cols)
+    return BookEmbedding.deferred(
+        lambda: _records(g.base, cols), names=g.base.names, columns=cols
+    )
 
-    # Offsets, clockwise around the boundary cycle from v, of v's next
-    # and previous path vertices; a missing step (at s and t) sits at v's
-    # own position, in the outer face.
-    cycle_pos = g.cycle_pos
-    out_off = [0] * n
-    in_off = [0] * n
-    for a, b in zip(path, path[1:]):
-        d = (cycle_pos[b] - cycle_pos[a]) % n
-        out_off[a] = d
-        in_off[b] = n - d
 
-    def side_at(v: VertexId, w: VertexId) -> str:
-        o = out_off[v]
-        q = (cycle_pos[w] - cycle_pos[v] - o) % n
-        return "R" if 0 < q < (in_off[v] - o) % n else "L"
+def _pages_py(np, g: OTStDigraph, c) -> PageColumns:
+    """The page rule on position columns.  Each vertex v faces the path
+    steps to its next and previous path vertices, at offsets o < i
+    clockwise around the cycle from v (a missing step, at s and t, sits
+    at offset 0, v's own position, in the outer face); an edge leaves v
+    on page R exactly when its offset lies strictly between o and i.  A
+    path edge is on page R at both ends."""
+    n, pos, cyc = g.n, g.cycle_pos, g.arrays.cyc
+    path, tails, _, starts, xs, ys = c.lists()
+    rank = sorted(range(n), key=path.__getitem__)  # per position
+    after, before = path[1:] + path[-1:], path[:1] + path[:-1]  # per rank
+    vr = list(map(rank.__getitem__, pos))  # per vertex id
+    nxt = list(map(after.__getitem__, vr))
+    wide = [(before[r] - x) % n for r, x in zip(vr, nxt)]
+    codes = [
+        (vr[u] * n + vr[v]) * 4
+        + 2 * (lower := (pos[v] - nxt[u]) % n < wide[u])
+        + (lower != ((pos[u] - nxt[v]) % n <= wide[v]))
+        for u, v in map(divmod, g.base.keys, repeat(n))
+    ]
+    lens = list(map(sub, starts[1:], starts))
+    return PageColumns(
+        n,
+        list(map(cyc.__getitem__, path)),
+        codes,
+        list(map(cyc.__getitem__, xs)),
+        list(map(cyc.__getitem__, ys)),
+        [rank[x] * n + rank[y] for x, y in zip(xs, ys)],
+        list(chain.from_iterable(map(repeat, map(rank.__getitem__, tails), lens))),
+        list(chain.from_iterable(map(range, lens))),
+    )
 
-    assignment: dict[DirectedEdge, Placement] = {}
-    for e in base.pairs():
-        x, y = e
-        if rank[y] == rank[x] + 1:
-            assignment[e] = PageArc("R")  # path edges: fixed convention
-            continue
-        side_x = side_at(x, y)
-        side_y = side_at(y, x)
-        crossing = crossing_of.get(e)
-        if crossing is None:
-            if side_x != side_y:
-                raise GraphError(
-                    "internal",
-                    f"uncrossed edge {base.name_edge(e)} changes sides",
-                )
-            assignment[e] = PageArc(side_x)
-        else:
-            if side_x == side_y:
-                raise GraphError(
-                    "internal",
-                    f"crossed edge {base.name_edge(e)} keeps its side",
-                )
-            assignment[e] = SplitArc(
-                lower_page=side_x, crossing=crossing, upper_page=side_y
+
+def _pages_np(np, g: OTStDigraph, c) -> PageColumns:
+    """:func:`_pages_py` on arrays."""
+    n = g.n
+    ids = np.frombuffer(g.arrays.cyc, dtype=np.intc).astype(np.int64)
+    path, tails, starts, xs, ys = (
+        np.asarray(col, dtype=np.int64)
+        for col in (c.path, c.tails, c.starts, c.xs, c.ys)
+    )
+    pos = np.empty(n, dtype=np.int64)
+    pos[ids] = np.arange(n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[path] = np.arange(n)
+    after = np.append(path[1:], path[-1])
+    before = np.insert(path[:-1], 0, path[0])
+    vr = rank[pos]
+    nxt = after[vr]
+    wide = (before[vr] - nxt) % n
+    keys = np.frombuffer(g.base.keys, dtype=np.int64)
+    u, v = keys // n, keys % n
+    lower = (pos[v] - nxt[u]) % n < wide[u]
+    upper = (pos[u] - nxt[v]) % n <= wide[v]
+    codes = (vr[u] * n + vr[v]) * 4 + 2 * lower + (lower != upper)
+    lens = np.diff(starts)
+    return PageColumns(
+        n,
+        *(
+            col.tolist()
+            for col in (
+                ids[path], codes, ids[xs], ids[ys], rank[xs] * n + rank[ys],
+                np.repeat(rank[tails], lens),
+                np.arange(len(xs)) - np.repeat(starts[:-1], lens),
             )
+        ),
+    )
+
+
+def _check_sides(g: OTStDigraph, cols: PageColumns) -> None:
+    """Raise ``internal`` unless exactly the crossed edges change pages."""
+    codes = cols.codes
+    changed = sorted(compress(codes, map((1).__and__, codes)))
+    crossed = sorted(cols.crossed)
+    if [c >> 2 for c in changed] == crossed:
+        return
+    crossed = set(crossed)
+    for e, c in zip(g.base.pairs(), codes):
+        if c & 1 != (c >> 2 in crossed):
+            name = g.base.name_edge(e)
+            if c & 1:
+                raise GraphError("internal", f"uncrossed edge {name} changes sides")
+            raise GraphError("internal", f"crossed edge {name} keeps its side")
+
+
+def _records(base: EmbeddedDigraph, cols: PageColumns) -> dict:
+    """Spine, placements and spine crossings of a made embedding."""
     crossings = tuple(
-        sorted(crossing_of.values(), key=lambda c: (c.gap, c.rank_in_gap))
+        SpineCrossing(edge=e, gap=gap, rank_in_gap=j)
+        for e, gap, j in zip(zip(cols.xs, cols.ys), cols.gaps, cols.ranks)
     )
-    return BookEmbedding(
-        names=base.names, spine=path, assignment=assignment, crossings=crossings
-    )
+    assignment = dict(zip(base.pairs(), (_PAGES[c >> 1 & 1] for c in cols.codes)))
+    for crossing in crossings:
+        lower = assignment[crossing.edge].page
+        assignment[crossing.edge] = SplitArc(
+            lower_page=lower, crossing=crossing, upper_page="R" if lower == "L" else "L"
+        )
+    spine = tuple(cols.spine)
+    return {"spine": spine, "assignment": assignment, "crossings": crossings}
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +357,39 @@ def _spine_y(position: float, n: int) -> float:
 
 
 def render_text(b: BookEmbedding) -> str:
-    """Stable line-based description: spine order, then one line per edge."""
-    names = b.names
-    rank = {v: i for i, v in enumerate(b.spine)}
-    lines = ["spine: " + " ".join(names[v] for v in b.spine)]
-    for e in sorted(b.assignment, key=lambda e: (rank[e[0]], rank[e[1]])):
-        placement = b.assignment[e]
-        label = f"{names[e[0]]}->{names[e[1]]}"
-        if isinstance(placement, PageArc):
-            lines.append(f"{label} page={placement.page}")
-        else:
-            c = placement.crossing
-            lines.append(
-                f"{label} split {placement.lower_page}@gap({c.gap},"
-                f"{c.rank_in_gap})/{placement.upper_page}"
-            )
-    return "\n".join(lines) + "\n"
+    """Stable line-based description: spine order, then one line per edge,
+    by the spine ranks of its ends."""
+    cols = b.columns
+    spine = b.spine if cols is None else cols.spine
+    n = len(spine)
+    names = list(map(b.names.__getitem__, spine))
+    arrow = [name + "->" for name in names]
+    if cols is None:
+        rank = {v: i for i, v in enumerate(spine)}
+        lines = sorted(
+            (rank[u] * n + rank[v], _placement_text(p))
+            for (u, v), p in b.assignment.items()
+        )
+        body = [f"{arrow[k // n]}{names[k % n]} {text}\n" for k, text in lines]
+    else:
+        # The codes sort by the spine ranks of their edges' ends, and
+        # their two low bits tell the placement.
+        gaps = map("@gap({},{})/".format, cols.gaps, cols.ranks)
+        split = dict(zip(cols.crossed, gaps))
+        text = ("page=L", "split L{}R", "page=R", "split R{}L")
+        body = [
+            f"{arrow[(k := c >> 2) // n]}{names[k % n]} "
+            f"{text[c & 3].format(split[k]) if c & 1 else text[c & 3]}\n"
+            for c in sorted(cols.codes)
+        ]
+    return "spine: " + " ".join(names) + "\n" + "".join(body)
+
+
+def _placement_text(p: Placement) -> str:
+    if isinstance(p, PageArc):
+        return f"page={p.page}"
+    c = p.crossing
+    return f"split {p.lower_page}@gap({c.gap},{c.rank_in_gap})/{p.upper_page}"
 
 
 def render_svg(b: BookEmbedding) -> str:

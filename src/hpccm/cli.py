@@ -132,12 +132,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _print_solution(ot: gm.OTStDigraph, result: sv.HpCompletionResult) -> None:
-    names = ot.base.names
-    print(f"crossings={result.total_crossings}")
-    print("path=" + ",".join(names[v] for v in result.path))
-    for ce, lst in zip(result.completion_edges, result.crossings):
-        crossed = ",".join(ot.base.name_edge(e) for e in lst)
-        print(f"add {names[ce[0]]}->{names[ce[1]]} crosses [{crossed}]")
+    """The answer from its position columns, each mapped to names once,
+    written in one call."""
+    path, tails, heads, starts, xs, ys = sv.result_columns(ot, result).lists()
+    at = list(map(ot.base.names.__getitem__, ot.arrays.cyc))  # name per position
+    path, tails, heads, xs, ys = (
+        list(map(at.__getitem__, col)) for col in (path, tails, heads, xs, ys)
+    )
+    crossed = list(map("{}->{}".format, xs, ys))
+    adds = [
+        f"add {a}->{b} crosses [{','.join(crossed[i:j])}]\n"
+        for a, b, i, j in zip(tails, heads, starts, starts[1:])
+    ]
+    sys.stdout.write(
+        f"crossings={result.total_crossings}\npath={','.join(path)}\n" + "".join(adds)
+    )
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:

@@ -523,10 +523,10 @@ class PathColumns(NamedTuple):
     out_of: tuple[Sequence[int], Sequence[int]]
 
 
-def hop_crossings(
-    layout: Layout, sides: Sequence[int], pc: PathColumns
-) -> list[list[tuple[int, int]]]:
-    """The edges each hop crosses, in order from its tail, as position pairs.
+def crossing_columns(layout: Layout, sides: Sequence[int], pc: PathColumns):
+    """The edges each hop crosses, in order from its tail, as flat position
+    columns ``(starts, xs, ys)``: hop h crosses the edges (xs[j], ys[j]) for
+    j in ``starts[h]..starts[h + 1] - 1``.
 
     A polygon entered on side L crosses the chords into its sink from the
     right chain (its ``into`` slots in row order), the median, then the
@@ -536,22 +536,16 @@ def hop_crossings(
     limiting edge it shares with the one before.  Only slices the ranges
     :func:`build_path` computed.
     """
-    nbr = layout.arrays.nbr
-    col = layout.lists("src", "snk", "low")
-    src, snk, low = col["src"], col["snk"], col["low"]
-    roots, counts, merged, (in0, in1), (out0, out1) = (
-        pc.roots, pc.counts, pc.merged, pc.into, pc.out_of
-    )
     if layout.np is not None:
-        roots, counts, merged, in0, in1, out0, out1 = (
-            c.tolist() for c in (roots, counts, merged, in0, in1, out0, out1)
-        )
-    out = []
-    for j, count in zip(roots, counts):
+        return _crossings_np(layout, sides, pc)
+    nbr, src, snk, low = layout.arrays.nbr, layout.src, layout.snk, layout.low
+    (in0, in1), (out0, out1) = pc.into, pc.out_of
+    merged = pc.merged
+    starts, xs, ys = [0], [], []
+    for j, count in zip(pc.roots, pc.counts):
         last = j
         while last + 1 < len(merged) and merged[last + 1]:
             last += 1
-        lst: list[tuple[int, int]] = []
         for i in range(last, j - 1, -1):
             u, v = src[i], snk[i]
             into, out_of = nbr[in0[i] : in1[i]], nbr[out0[i] : out1[i]]
@@ -559,18 +553,61 @@ def hop_crossings(
                 into = into[::-1]
             else:
                 out_of = out_of[::-1]
-            lst += [(q, v) for q in into]
-            lst.append((u, v))
-            lst += [(u, q) for q in out_of]
+            xs += into
+            xs += [u] * (len(out_of) + 1)
+            ys += [v] * (len(into) + 1)
+            ys += out_of
             if i > j:
-                lst.append((u, low[i]))
-        if len(lst) != count:
+                xs.append(u)
+                ys.append(low[i])
+        starts.append(len(xs))
+        if starts[-1] - starts[-2] != count:
             raise GraphError(
                 "internal",
-                f"hop from element {j} crosses {len(lst)} edges, not {count}",
+                f"hop from element {j} crosses {starts[-1] - starts[-2]} "
+                f"edges, not {count}",
             )
-        out.append(lst)
-    return out
+    return starts, xs, ys
+
+
+def _crossings_np(layout: Layout, sides, pc: PathColumns):
+    """:func:`crossing_columns` on arrays: the polygons in hop order
+    (newest first within a hop), then each crossing's slot by its offset
+    in its polygon's run: ``into``, the median, ``out_of``, the shared
+    limiting edge."""
+    np = layout.np
+    nbr = np.frombuffer(layout.arrays.nbr, dtype=np.intc)
+    e = len(layout)
+    merged = pc.merged.astype(bool)
+    poly = layout.poly == 1
+    ids = np.arange(e, dtype=np.int64)
+    root_of = np.maximum.accumulate(np.where(poly & ~merged, ids, -1))
+    at = np.flatnonzero(poly)
+    at = at[np.lexsort((-at, root_of[at]))]
+    (in0, in1), (out0, out1) = pc.into, pc.out_of
+    right = np.frombuffer(bytes(sides), dtype=np.uint8)[at] == 1
+    n_in, n_out = (in1 - in0)[at], (out1 - out0)[at]
+    size = n_in + n_out + 1 + merged[at]
+    starts = np.zeros(len(pc.counts) + 1, dtype=np.int64)
+    np.cumsum(pc.counts, out=starts[1:])
+    if int(size.sum()) != int(starts[-1]):
+        raise GraphError(
+            "internal", f"hops cross {int(size.sum())} edges, not {int(starts[-1])}"
+        )
+    el = np.repeat(np.arange(len(at)), size)
+    w = np.arange(len(el), dtype=np.int64) - (np.cumsum(size) - size)[el]
+    at, right, n_in, n_out = at[el], right[el], n_in[el], n_out[el]
+    xs, ys = layout.src[at], layout.snk[at]
+    into = w < n_in
+    slot = np.where(right, in1[at] - 1 - w, in0[at] + w)[into]
+    xs[into] = nbr[slot]
+    t = w - n_in - 1
+    out_of = (t >= 0) & (t < n_out)
+    slot = np.where(right, out0[at] + t, out1[at] - 1 - t)[out_of]
+    ys[out_of] = nbr[slot]
+    shared = t == n_out
+    ys[shared] = layout.low[at][shared]
+    return starts, xs, ys
 
 
 def build_path(layout: Layout, sides) -> PathColumns:

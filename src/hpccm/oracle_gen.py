@@ -400,7 +400,7 @@ def polygon_stack(count: int, validate: bool = True) -> OTStDigraph:
 # Record-level reference: costs, crossing lists and path construction on
 # StPolygon records.  The exhaustive oracle builds its paths with these, and
 # the tests check the kernel (core.polygon columns, core.build_path,
-# core.hop_crossings) against them.
+# core.crossing_columns) against them.
 
 
 class _Builder:

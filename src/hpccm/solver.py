@@ -27,9 +27,12 @@ record-level reference builders the tests compare against live in
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, compress
+from operator import index, lt, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -37,19 +40,19 @@ from .core import (
     Layout,
     backtrack,
     build_path,
+    crossing_columns,
     dp_kinds,
     dp_np,
     dp_py,
-    hop_crossings,
 )
 from .decomposition import Decomposition, decompose
 from .graph_model import (
-    NUMPY_MIN_N,
     DirectedEdge,
     GraphError,
     OtArrays,
     OTStDigraph,
     VertexId,
+    backend,
 )
 
 Side = str  # 'L' or 'R'
@@ -98,12 +101,48 @@ class DpTable(Deferred):
         return "L" if last_l <= last_r else "R"
 
 
+@dataclass(frozen=True, eq=False)
+class ResultColumns(Deferred):
+    """A completion in the boundary-cycle positions of ``cyc`` (position ->
+    vertex id): the path, completion edge i from ``tails[i]`` to
+    ``heads[i]``, and the edges (xs[j], ys[j]) it crosses for j in
+    ``starts[i]..starts[i + 1] - 1``.  Lists, or numpy arrays when the
+    solver made them with numpy; -1 stands for an entry that names no
+    vertex."""
+
+    cyc: array
+    path: Sequence[int]
+    tails: Sequence[int]
+    heads: Sequence[int]
+    starts: Sequence[int]
+    xs: Sequence[int]
+    ys: Sequence[int]
+
+    def lists(self) -> tuple[list[int], ...]:
+        """``path``, ``tails``, ``heads``, ``starts``, ``xs`` and ``ys`` as
+        lists of ints."""
+        cols = (self.path, self.tails, self.heads, self.starts, self.xs, self.ys)
+        return tuple(col if isinstance(col, list) else col.tolist() for col in cols)
+
+
 @dataclass(frozen=True)
 class HpCompletionResult(Deferred):
+    """A completion: the hamiltonian path, its completion edges (the path
+    steps that are no edges) and per completion edge the graph edges it
+    crosses, in order from its tail.
+
+    ``columns`` holds the same in positions (see :func:`result_columns`):
+    a result :func:`reconstruct` makes keeps the columns it was made from
+    and builds its tuples from them on first read.
+    """
+
     path: tuple[VertexId, ...]
     completion_edges: tuple[DirectedEdge, ...]
     crossings: tuple[tuple[DirectedEdge, ...], ...]
     total_crossings: int
+    columns: Optional[ResultColumns] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 class LayoutCosts(SequenceABC):
@@ -217,8 +256,8 @@ def reconstruct(
     ``table`` (and ``costs``, if given) must come from ``d``; those of
     another decomposition raise ``foreign-input``.  Sides, path, hops and
     each hop's crossed slot ranges are computed here, and the total is the
-    sum of the range lengths; on large instances only the slicing of the
-    ranges and the tuples wait for the first read.
+    sum of the range lengths; the result's tuples, and with numpy its
+    crossing columns, wait for the first read.
     """
     layout = d.layout
     _check_made_from(d, table, "DP table")
@@ -237,32 +276,75 @@ def reconstruct(
             f"reconstructed {total} crossings, dynamic program found "
             f"{table.minimum}",
         )
+    given = dict(cyc=layout.arrays.cyc, path=pc.path, tails=pc.tails, heads=pc.heads)
 
-    def fill() -> dict:
-        cyc = layout.arrays.cyc
-        if np is not None:
-            ids = np.frombuffer(cyc, dtype=np.intc)
-            path = ids[pc.path].tolist()
-            tails, heads = ids[pc.tails].tolist(), ids[pc.heads].tolist()
-        else:
-            path = list(map(cyc.__getitem__, pc.path))
-            tails = list(map(cyc.__getitem__, pc.tails))
-            heads = list(map(cyc.__getitem__, pc.heads))
-        crossings = tuple(
-            tuple((cyc[x], cyc[y]) for x, y in lst)
-            for lst in hop_crossings(layout, sides, pc)
-        )
-        return {
-            "path": tuple(path),
-            "completion_edges": tuple(zip(tails, heads)),
-            "crossings": crossings,
-        }
+    def crossings() -> dict:
+        return dict(zip(("starts", "xs", "ys"), crossing_columns(layout, sides, pc)))
 
-    if layout.arrays.n < NUMPY_MIN_N:
-        # Callers read small results whole at once: deferring would only
-        # move the work.
-        return HpCompletionResult(total_crossings=total, **fill())
-    return HpCompletionResult.deferred(fill, total_crossings=total)
+    if np is None:
+        # Every reader of a result needs its crossings, and without numpy
+        # the instance is small: deferring them would only move the work.
+        cols = ResultColumns(**given, **crossings())
+    else:
+        cols = ResultColumns.deferred(crossings, **given)
+    return HpCompletionResult.deferred(
+        lambda: _records(cols), total_crossings=total, columns=cols
+    )
+
+
+def _records(c: ResultColumns) -> dict:
+    """The tuples of a result, in vertex ids, from its columns."""
+    path, tails, heads, starts, xs, ys = c.lists()
+    path, tails, heads, xs, ys = (
+        list(map(c.cyc.__getitem__, col)) for col in (path, tails, heads, xs, ys)
+    )
+    crossed = list(zip(xs, ys))
+    return {
+        "path": tuple(path),
+        "completion_edges": tuple(zip(tails, heads)),
+        "crossings": tuple(
+            tuple(crossed[i:j]) for i, j in zip(starts, starts[1:])
+        ),
+    }
+
+
+def result_columns(g: OTStDigraph, r: HpCompletionResult) -> ResultColumns:
+    """``r`` in the boundary-cycle positions of ``g``: the columns the
+    solver made ``r`` from, or else its tuples converted once and kept
+    with it.  An entry that is no pair of vertex ids converts to (-1, -1),
+    and a vertex that is no id to -1."""
+    cyc = g.arrays.cyc
+    c = r.columns
+    if c is not None and (c.cyc is cyc or c.cyc == cyc):
+        return c
+    n, pos = g.n, g.cycle_pos
+
+    def at(v) -> int:
+        try:
+            v = index(v)
+        except TypeError:
+            return -1
+        return pos[v] if 0 <= v < n else -1
+
+    def pair(e) -> tuple[int, int]:
+        ok = isinstance(e, tuple) and len(e) == 2
+        return (at(e[0]), at(e[1])) if ok else (-1, -1)
+
+    ces = list(map(pair, r.completion_edges))
+    lists = [list(map(pair, lst)) for lst in r.crossings]
+    crossed = list(chain.from_iterable(lists))
+    c = ResultColumns(
+        cyc=cyc,
+        path=list(map(at, r.path)),
+        tails=[a for a, _ in ces],
+        heads=[b for _, b in ces],
+        starts=list(accumulate(map(len, lists), initial=0)),
+        xs=[x for x, _ in crossed],
+        ys=[y for _, y in crossed],
+    )
+    if r.columns is None:
+        r.__dict__["columns"] = c
+    return c
 
 
 def solve(g: OTStDigraph, check: bool = True) -> HpCompletionResult:
@@ -305,43 +387,6 @@ def interleaves(
     return ((cyc[x] - qa) % n < rb) != ((cyc[y] - qa) % n < rb)
 
 
-def _inside_counts(a: OtArrays, spans: list[tuple[int, int]]) -> list[int]:
-    """Per closed position interval ``(lo, hi)``, the number of edges with
-    both endpoints in it.  One sweep up the rows: an edge's lower end goes
-    into a Fenwick tree over the distinct ``lo`` values when its upper row
-    is read, and an interval is answered once its ``hi`` row is read.
-    O(n + (m + len(spans)) log len(spans))."""
-    off, nbr = a.off, a.nbr
-    los = sorted({lo for lo, _ in spans})
-    size = len(los)
-    bucket = [0] * a.n  # bucket[x]: how many of the lo values are <= x
-    for lo in los:
-        bucket[lo] = 1
-    bucket = list(accumulate(bucket))
-    tree = [0] * (size + 1)
-    counts = [0] * len(spans)
-    added = 0
-    row = min(los, default=0)
-    for i in sorted(range(len(spans)), key=lambda i: spans[i][1]):
-        lo, hi = spans[i]
-        while row <= hi:
-            for q in nbr[off[row] : off[row + 1]]:
-                if q < row:
-                    j = bucket[q]
-                    if j:  # an edge below every lo is inside no interval
-                        added += 1
-                        while j <= size:
-                            tree[j] += 1
-                            j += j & -j
-            row += 1
-        below, j = 0, bucket[lo] - 1
-        while j > 0:
-            below += tree[j]
-            j -= j & -j
-        counts[i] = added - below
-    return counts
-
-
 def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     """Check a completion result against the problem contract.
 
@@ -355,68 +400,289 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     that cross no graph edge twice, and this is the contract a result
     must meet.
 
-    The edges forced to cross (a, b) join the open boundary arc A from a
-    to b to the rest of the cycle, not to a or b.  They are counted as A's
-    degree sum less twice the edges inside A less those to a and b, and a
-    list is right when its entries are distinct, forced and as many.
-    O(m log n + C log m) for C listed crossings (a wrong list is compared
-    with every edge, to name the difference).
+    Runs on the result's position columns (:func:`result_columns`), with
+    numpy from ``NUMPY_MIN_N`` vertices on.  The edges forced to cross
+    (a, b) join the open boundary arc from a to b to the rest of the cycle;
+    they are counted on bracket depths (:func:`_forced_counts`), and a
+    list is right when it has as many entries, each an edge that
+    interleaves (a, b), none listed twice.  The message text is built only
+    when some list fails.  A result that passed against ``g`` is not
+    checked again.  O(m log m).
     """
-    base = g.base
+    if r.__dict__.get("_verified") is g:
+        return []
+    base, n = g.base, g.base.n
+    c = result_columns(g, r)
+    np = backend(n)
+    if np is None:
+        cols = c.lists()
+        path, tails, heads, starts, _, _ = cols
+        claimed = tails, heads
+    else:
+        cols = path, tails, heads, starts, _, _ = tuple(
+            np.asarray(col, dtype=np.int64)
+            for col in (c.path, c.tails, c.heads, c.starts, c.xs, c.ys)
+        )
+        claimed = tails.tolist(), heads.tolist()
+    rank = _path_ranks(np, path, n)
+    if rank is None:
+        return ["path is not a permutation of the vertices"]
     out: list[str] = []
-    n = base.n
-    path = r.path
-    if len(path) != n or set(path) != set(range(n)):
-        out.append("path is not a permutation of the vertices")
-        return out
-    if path[0] != base.s or path[-1] != base.t:
+    if path[0] != 0 or path[-1] != g.arrays.k + 1:
         out.append("path does not run from the source to the sink")
-    rank = [0] * n
-    for i, v in enumerate(path):
-        rank[v] = i
-    # Path steps as edge keys u * n + v: the steps that are no edge are
-    # the completion.
-    keys = base.keys
-    edge_keys = set(keys)
-    expected_completion = tuple(
-        (a, b) for a, b in zip(path, path[1:]) if a * n + b not in edge_keys
-    )
-    if tuple(r.completion_edges) != expected_completion:
+    if _missing_steps(np, g, path) != claimed:
         out.append(
             "completion edges are not exactly the consecutive path "
             "pairs missing from the graph"
         )
         return out
-    if len(r.crossings) != len(r.completion_edges):
+    if len(starts) != len(tails) + 1:
         out.append("crossing lists do not match completion edges")
         return out
     out += [
         f"edge {base.name_edge(divmod(k, n))} runs backwards along the path"
-        for k in keys
-        if rank[k // n] >= rank[k % n]
+        for k in _backward(np, g, rank)
     ]
-    if r.total_crossings != sum(len(c) for c in r.crossings):
+    if r.total_crossings != starts[-1]:
         out.append("total_crossings does not equal the sum of list lengths")
-    cyc = g.cycle_pos
-    off, nbr = g.arrays.off, g.arrays.nbr
-    # A as a position interval, or its closed complement if A wraps.
-    spans = [
-        (cyc[a] + 1, cyc[b] - 1) if cyc[a] < cyc[b] else (cyc[b], cyc[a])
-        for a, b in expected_completion
-    ]
-    inside = _inside_counts(g.arrays, spans)
-    seen: dict[DirectedEdge, DirectedEdge] = {}
-    for ce, lst, (lo, hi), ins in zip(
-        expected_completion, r.crossings, spans, inside
-    ):
-        pa, pb = cyc[ce[0]], cyc[ce[1]]
-        rb = (pb - pa) % n
-        forced = off[hi + 1] - off[lo] - 2 * ins
-        for q in nbr[off[pa] : off[pa + 1]] + nbr[off[pb] : off[pb + 1]]:
-            if 0 < (q - pa) % n < rb:  # an edge between A and {a, b}
-                forced -= 1
+    forced = _forced_counts(np, g.arrays, tails, heads)
+    lists_ok = _lists_ok_py if np is None else _lists_ok_np
+    if not lists_ok(np, g, cols, rank, forced):
+        out += _list_messages(g, r, forced if np is None else forced.tolist())
+    if not out:
+        r.__dict__["_verified"] = g  # both are immutable
+    return out
+
+
+def _path_ranks(np, path, n: int):
+    """Rank along ``path`` per position, or None unless ``path`` is a
+    permutation of the positions."""
+    if len(path) != n:
+        return None
+    if np is None:
+        if set(path) != set(range(n)):
+            return None
+        return sorted(range(n), key=path.__getitem__)
+    if path.min() < 0 or path.max() >= n:
+        return None
+    rank = np.full(n, -1, dtype=np.int64)
+    rank[path] = np.arange(n)
+    return None if (rank < 0).any() else rank
+
+
+def _missing_steps(np, g: OTStDigraph, path) -> tuple[list[int], list[int]]:
+    """Tails and heads of the path steps that are no edges, looked up in
+    the sorted edge keys.  Without numpy, a step along the boundary cycle
+    in its direction (from s up the left chain, or down the right one) is
+    an edge without a lookup."""
+    a, keys = g.arrays, g.base.keys
+    n, k, cyc = a.n, a.k, a.cyc
+    if np is not None:
+        ids = np.frombuffer(cyc, dtype=np.intc).astype(np.int64)
+        step = ids[path[:-1]] * n + ids[path[1:]]
+        keys = np.frombuffer(keys, dtype=np.int64)
+        at = np.searchsorted(keys, step, side="right") - 1
+        gaps = np.flatnonzero(keys[at] != step)
+        return path[gaps].tolist(), path[gaps + 1].tolist()
+    tails, heads = [], []
+    for x, y in zip(path, path[1:]):
+        if y - x == 1 and x <= k or x - y == 1 and x > k + 1 or x == 0 and y == n - 1:
+            continue
+        step = cyc[x] * n + cyc[y]
+        if keys[bisect_right(keys, step) - 1] != step:
+            tails.append(x)
+            heads.append(y)
+    return tails, heads
+
+
+def _backward(np, g: OTStDigraph, rank) -> list[int]:
+    """The edge keys, ascending, of the edges that do not run forward
+    along the path whose positions have ranks ``rank``."""
+    n, keys = g.n, g.base.keys
+    if np is None:
+        by_id = list(map(rank.__getitem__, g.cycle_pos))
+        return [k for k in keys if by_id[k // n] >= by_id[k % n]]
+    by_id = np.empty(n, dtype=np.int64)
+    by_id[np.frombuffer(g.arrays.cyc, dtype=np.intc)] = rank
+    keys = np.frombuffer(keys, dtype=np.int64)
+    return keys[by_id[keys // n] >= by_id[keys % n]].tolist()
+
+
+def _forced_counts(np, a: OtArrays, tails, heads):
+    """Per completion edge (a, b), in positions, the number of edges that
+    join the open boundary arc from a to b to the rest of the cycle.
+
+    Each edge is a chord of the boundary cycle and no two chords cross, so
+    the slots read as brackets: each row read backwards, its slots to
+    lower positions closing innermost first, then those to higher ones
+    opening outermost first.  With D[p] the depth before row p (the edges
+    over the gap below p) and B[p] the lowest depth within it (the edges
+    strictly over p), the edges leaving an interval [lo, hi] number
+    D[lo] + D[hi + 1] - 2 min(B[lo..hi]).  Of the interval strictly
+    between x = min(a, b) and y = max(a, b) and of [x, y], one is the arc
+    from a to b and the other the rest of the cycle less a and b; their
+    two counts add up to twice the forced crossings plus the degrees of a
+    and b, which leaves B[x] + B[y] - M - min(M, B[x], B[y]) with M the
+    minimum of B strictly between x and y.
+
+    A row lists its neighbours above it ascending, then those below it
+    ascending (checked by :func:`~hpccm.graph_model.classify_ot`), and
+    every row but the first and last has both, starting with its cycle
+    successor and ending with its predecessor.  So between the first and
+    last rows a slot holds less than the one before it exactly where a
+    row's lower neighbours begin, and with U[p] the slots to higher
+    positions before row p, B[p] = U[p] + U[p + 1] - off[p + 1] (``low``).
+    """
+    n, off, nbr = a.n, a.off, a.nbr
+    lo, hi = off[1] + 1, off[n - 1]
+    if np is None:
+        if not tails:
+            return []
+        down = chain(
+            off[1:2],
+            compress(range(lo, hi), map(lt, nbr[lo:hi], nbr[lo - 1 : hi - 1])),
+            off[n - 1 : n],
+        )
+        up = list(accumulate(map(sub, down, off), initial=0))
+        low = [u + v - o for u, v, o in zip(up, up[1:], off[1:])]
+        ends = [(p, q) if p < q else (q, p) for p, q in zip(tails, heads)]
+        out = []
+        for (x, y), m in zip(ends, _range_min_py(low, ends)):
+            bx, by = low[x], low[y]
+            out.append(bx + by - m - (m if m < bx and m < by else min(bx, by)))
+        return out
+    off = np.frombuffer(off, dtype=np.intc).astype(np.int64)
+    nbr = np.frombuffer(nbr, dtype=np.intc)
+    down = np.concatenate(
+        [off[1:2], lo + np.flatnonzero(nbr[lo:hi] < nbr[lo - 1 : hi - 1]), off[-2:-1]]
+    )
+    up = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(down - off[:-1], out=up[1:])
+    low = up[:-1] + up[1:] - off[1:]
+    x, y = np.minimum(tails, heads), np.maximum(tails, heads)
+    inner = _range_min_np(np, low, x + 1, y - 1)
+    bx, by = low[x], low[y]
+    return bx + by - inner - np.minimum(inner, np.minimum(bx, by))
+
+
+def _range_min_py(vals: list[int], ends: list[tuple[int, int]]) -> list[int]:
+    """min(vals[x + 1..y - 1]) per (x, y) with x + 1 < y: one sweep up the
+    values with a stack of the positions whose value is below every later
+    one so far, bisected at each query's x + 1 once the sweep reaches its
+    y - 1."""
+    out = [0] * len(ends)
+    at: list[int] = []
+    mins: list[int] = []
+    p = min(ends, default=(0, 0))[0] + 1
+    for q in sorted(range(len(ends)), key=lambda q: ends[q][1]):
+        x, y = ends[q]
+        while p < y:
+            v = vals[p]
+            while mins and mins[-1] >= v:
+                mins.pop()
+                at.pop()
+            at.append(p)
+            mins.append(v)
+            p += 1
+        out[q] = mins[bisect_left(at, x + 1)]
+    return out
+
+
+def _range_min_np(np, vals, lo, hi):
+    """min(vals[lo..hi]) per query (lo <= hi), from the minima over runs of
+    2^j values, one level at a time: a query of length in [2^j, 2^(j+1))
+    is the smaller of two runs of level j."""
+    level = np.frexp((hi - lo + 1).astype(np.float64))[1] - 1
+    out = np.empty(len(lo), dtype=vals.dtype)
+    run = vals
+    for j in range(int(level.max(initial=-1)) + 1):
+        if j:
+            half = 1 << (j - 1)
+            run = np.minimum(run[:-half], run[half:])
+        sel = level == j
+        out[sel] = np.minimum(run[lo[sel]], run[hi[sel] - (1 << j) + 1])
+    return out
+
+
+def _lists_ok_py(np, g: OTStDigraph, cols, rank, forced) -> bool:
+    """Whether every crossing list is right: as many entries as forced
+    crossings, each an edge (x, y) that interleaves its completion edge
+    (a, b) with x before a and y after b on the path, no edge listed
+    twice, and each list in separation order: by the offset from a of
+    the end on a's side of the edge, ascending, then by the other end's,
+    descending.  ``cols`` are the lists of :meth:`ResultColumns.lists`."""
+    n, keys, cyc = g.n, g.base.keys, g.arrays.cyc
+    _, tails, heads, starts, xs, ys = cols
+    if list(map(sub, starts[1:], starts)) != forced:
+        return False
+    cycle = range(n)  # interleaves on positions
+    listed: set[int] = set()
+    for a, b, i, j in zip(tails, heads, starts, starts[1:]):
+        gap, last = rank[a], -n
+        for x, y in zip(xs[i:j], ys[i:j]):
+            if x < 0 or y < 0:
+                return False
+            e = cyc[x] * n + cyc[y]
+            u, v = (x - a) % n, (y - a) % n
+            order = u * n - v if u < v else v * n - u
+            if (
+                order < last
+                or e in listed
+                or keys[bisect_right(keys, e) - 1] != e
+                or not rank[x] < gap < gap + 1 < rank[y]
+                or not interleaves(cycle, n, (a, b), (x, y))
+            ):
+                return False
+            listed.add(e)
+            last = order
+    return True
+
+
+def _lists_ok_np(np, g: OTStDigraph, cols, rank, forced) -> bool:
+    """:func:`_lists_ok_py` on arrays."""
+    n = g.n
+    _, tails, heads, starts, xs, ys = cols
+    lens = np.diff(starts)
+    if not np.array_equal(lens, forced):
+        return False
+    if len(xs) == 0:
+        return True
+    if min(xs.min(), ys.min()) < 0:
+        return False
+    own = np.repeat(np.arange(len(lens)), lens)
+    a, b = tails[own], heads[own]
+    ids = np.frombuffer(g.arrays.cyc, dtype=np.intc).astype(np.int64)
+    keys = np.frombuffer(g.base.keys, dtype=np.int64)
+    edge = ids[xs] * n + ids[ys]
+    ox, oy, span = (xs - a) % n, (ys - a) % n, (b - a) % n
+    lo, hi = np.minimum(ox, oy), np.maximum(ox, oy)
+    gap = rank[a]
+    key = lo * n - hi
+    return bool(
+        (keys[np.searchsorted(keys, edge, side="right") - 1] == edge).all()
+        and len(np.unique(edge)) == len(edge)
+        and ((0 < lo) & (lo < span) & (span < hi)).all()
+        and ((rank[xs] < gap) & (rank[ys] > gap + 1)).all()
+        and ((key[1:] >= key[:-1]) | (own[1:] != own[:-1])).all()
+    )
+
+
+def _list_messages(
+    g: OTStDigraph, r: HpCompletionResult, forced: list[int]
+) -> list[str]:
+    """The messages of the crossing lists, once some list has failed: per
+    list, a mismatch with the forced set (named by comparing every edge),
+    or an edge listed twice, a list out of order, crossings that would
+    close a cycle, and edges crossed by two completion edges."""
+    base, n, cyc = g.base, g.base.n, g.cycle_pos
+    rank = [0] * n
+    for i, v in enumerate(r.path):
+        rank[v] = i
+    out: list[str] = []
+    seen: set[DirectedEdge] = set()
+    for ce, lst, f in zip(r.completion_edges, r.crossings, forced):
         listed = set(lst)
-        if len(listed) != forced or not all(
+        if len(listed) != f or not all(
             base.has_edge(e) and interleaves(cyc, n, ce, e) for e in listed
         ):
             forced_set = {e for e in base.pairs() if interleaves(cyc, n, ce, e)}
@@ -434,6 +700,7 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
             )
         # Separation order: by the end in A going on from a, then by the
         # end in B going back from a.
+        pa = cyc[ce[0]]
         ends = [sorted(((cyc[x] - pa) % n, (cyc[y] - pa) % n)) for x, y in lst]
         if ends != sorted(ends, key=lambda e: (e[0], -e[1])):
             out.append(
@@ -451,5 +718,5 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
                 out.append(
                     f"edge {base.name_edge(e)} crossed by two completion edges"
                 )
-            seen[e] = ce
+            seen.add(e)
     return out

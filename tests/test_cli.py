@@ -197,6 +197,36 @@ def test_stdout_byte_stable(rhombus_file, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_solve_and_embed_print_from_columns(tmp_path, capsys, monkeypatch):
+    # solve and embed print from the result's position columns: with the
+    # builders of the result's tuples and of the embedding's records
+    # raising, both exit 0 with the same bytes, below and above the numpy
+    # threshold.
+    import hpccm.book_embedding
+    import hpccm.graph_model as gm
+    import hpccm.solver
+    from hpccm import polygon_stack
+
+    expected = {}
+    for k in (20, gm.NUMPY_MIN_N // 2):
+        ot = polygon_stack(k)
+        path = tmp_path / f"stack{k}.json"
+        path.write_text(serialize_graph(ot.base), encoding="utf-8")
+        for command in ("solve", "embed"):
+            assert run([command, str(path)]) == 0
+            expected[command, str(path)] = capsys.readouterr().out
+    assert ot.n >= gm.NUMPY_MIN_N
+
+    def built(*args):
+        raise AssertionError("built the tuples or records")
+
+    monkeypatch.setattr(hpccm.solver, "_records", built)
+    monkeypatch.setattr(hpccm.book_embedding, "_records", built)
+    for (command, path), out in expected.items():
+        assert run([command, path]) == 0
+        assert capsys.readouterr().out == out
+
+
 def test_embed_reports_invalid_solver_answer_as_internal(f9_file, capsys, monkeypatch):
     # embed and render leave the check to to_book_embedding; an answer it
     # rejects is still a verification failure, exit status 2.

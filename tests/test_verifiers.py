@@ -5,14 +5,17 @@ path coming back."""
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import replace
 
 import pytest
 
+import hpccm.graph_model as gm
 import hpccm.solver
 from hpccm import (
     BookEmbedding,
+    GenProfile,
     HpCompletionResult,
     PageArc,
     SpineCrossing,
@@ -20,6 +23,7 @@ from hpccm import (
     five_crossing_polygon,
     from_book_embedding,
     polygon_stack,
+    random_ot,
     rhombus,
     solve,
     to_book_embedding,
@@ -370,3 +374,61 @@ def test_default_solve_and_round_trip_at_ten_thousand_vertices():
     assert back == r
     assert r.total_crossings == 5000
     assert elapsed < 10.0, f"{elapsed:.1f} s"
+
+
+def _forced_cases(oracle_corpus):
+    """(instance, pairs of positions a, b) whose forced crossings are
+    counted: every completion edge of the oracle corpus's answers and of
+    polygon_stack(1..8), and both orders of every pair on opposite chains
+    that is no edge in 50 small random_ot draws, so that the arc from a
+    to b runs over position 0 as often as not."""
+    records, _ = oracle_corpus
+    cases = []
+    for ot in [*(ot for ot, *_ in records), *map(polygon_stack, range(1, 9))]:
+        pos = ot.cycle_pos
+        r = solve(ot, check=False)
+        cases.append((ot, [(pos[a], pos[b]) for a, b in r.completion_edges]))
+    rng = random.Random(15)
+    for _ in range(50):
+        prof = GenProfile(
+            rng.randint(1, 8), rng.randint(1, 8), rng.random(), rng.getrandbits(32)
+        )
+        ot = random_ot(prof)
+        k, n, cyc = ot.arrays.k, ot.n, ot.arrays.cyc
+        pairs = [
+            pair
+            for p in range(1, k + 1)
+            for q in range(k + 2, n)
+            if not ot.base.has_edge((cyc[p], cyc[q]))
+            and not ot.base.has_edge((cyc[q], cyc[p]))
+            for pair in ((p, q), (q, p))
+        ]
+        cases.append((ot, pairs))
+    return cases
+
+
+@pytest.mark.parametrize("numpy_min_n", [None, 0])
+def test_forced_counts_match_interleaving_edges(oracle_corpus, monkeypatch, numpy_min_n):
+    # The bracket-depth count of the edges forced to cross (a, b) against
+    # the edges interleaves names, with the pure-Python form at the
+    # default threshold and the numpy one with numpy for all sizes.
+    if numpy_min_n is not None:
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(gm, "NUMPY_MIN_N", numpy_min_n)
+    counted = 0
+    for ot, pairs in _forced_cases(oracle_corpus):
+        if not pairs:
+            continue
+        n, cyc = ot.n, ot.arrays.cyc
+        np = gm.backend(n)
+        tails, heads = ([p for p, _ in pairs], [q for _, q in pairs])
+        if np is not None:
+            tails, heads = np.array(tails), np.array(heads)
+        got = hpccm.solver._forced_counts(np, ot.arrays, tails, heads)
+        brute = [
+            sum(interleaves(ot.cycle_pos, n, (cyc[p], cyc[q]), e) for e in ot.base.pairs())
+            for p, q in pairs
+        ]
+        assert list(got) == brute, ot.base.names
+        counted += len(pairs)
+    assert counted > 2000
