@@ -23,8 +23,7 @@ position, which faces the outer face.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, repeat
-from operator import sub
+from itertools import accumulate, repeat
 from typing import NamedTuple, Optional, Union
 
 from .core import Deferred
@@ -34,7 +33,6 @@ from .graph_model import (
     GraphError,
     OTStDigraph,
     VertexId,
-    backend,
 )
 from .solver import HpCompletionResult, result_columns, verify_solution
 
@@ -54,8 +52,10 @@ class PageArc:
     page: str  # 'L' or 'R'
 
 
-# The two whole-arc placements, indexed by 1 for page R.
-_PAGES = (PageArc("L"), PageArc("R"))
+# The two whole-arc placements, shared, by the low bits 2 p + f of a page
+# code (p = 1 for page R).
+_L, _R = PageArc("L"), PageArc("R")
+_BY_CODE = (_L, _L, _R, _R)
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,14 @@ def to_book_embedding(g: OTStDigraph, r: HpCompletionResult) -> BookEmbedding:
     violations = verify_solution(g, r)
     if violations:
         raise GraphError("invalid-solution", violations[0])
-    c = result_columns(g, r)
-    np = backend(g.n)
-    cols = (_pages_py if np is None else _pages_np)(np, g, c)
+    cols = _pages(g, result_columns(g, r))
     _check_sides(g, cols)
     return BookEmbedding.deferred(
         lambda: _records(g.base, cols), names=g.base.names, columns=cols
     )
 
 
-def _pages_py(np, g: OTStDigraph, c) -> PageColumns:
+def _pages(g: OTStDigraph, c) -> PageColumns:
     """The page rule on position columns.  Each vertex v faces the path
     steps to its next and previous path vertices, at offsets o < i
     clockwise around the cycle from v (a missing step, at s and t, sits
@@ -132,74 +130,45 @@ def _pages_py(np, g: OTStDigraph, c) -> PageColumns:
     path edge is on page R at both ends."""
     n, pos, cyc = g.n, g.cycle_pos, g.arrays.cyc
     path, tails, _, starts, xs, ys = c.lists()
-    rank = sorted(range(n), key=path.__getitem__)  # per position
+    rank = [0] * n  # per position
+    for i, p in enumerate(path):
+        rank[p] = i
     after, before = path[1:] + path[-1:], path[:1] + path[:-1]  # per rank
-    vr = list(map(rank.__getitem__, pos))  # per vertex id
-    nxt = list(map(after.__getitem__, vr))
+    vr = [rank[p] for p in pos]  # per vertex id
+    nxt = [after[r] for r in vr]
     wide = [(before[r] - x) % n for r, x in zip(vr, nxt)]
-    codes = [
+    codes = [  # low bits 2 p + f: p = 1 for page R at u, f = 1 if it changes
         (vr[u] * n + vr[v]) * 4
-        + 2 * (lower := (pos[v] - nxt[u]) % n < wide[u])
-        + (lower != ((pos[u] - nxt[v]) % n <= wide[v]))
+        + (
+            (3 if (pos[u] - nxt[v]) % n > wide[v] else 2)
+            if (pos[v] - nxt[u]) % n < wide[u]
+            else (1 if (pos[u] - nxt[v]) % n <= wide[v] else 0)
+        )
         for u, v in map(divmod, g.base.keys, repeat(n))
     ]
-    lens = list(map(sub, starts[1:], starts))
+    gaps: list[int] = []
+    ranks: list[int] = []
+    for t, i, j in zip(tails, starts, starts[1:]):
+        gaps += [rank[t]] * (j - i)
+        ranks += range(j - i)
     return PageColumns(
         n,
-        list(map(cyc.__getitem__, path)),
+        [cyc[p] for p in path],
         codes,
-        list(map(cyc.__getitem__, xs)),
-        list(map(cyc.__getitem__, ys)),
+        [cyc[x] for x in xs],
+        [cyc[y] for y in ys],
         [rank[x] * n + rank[y] for x, y in zip(xs, ys)],
-        list(chain.from_iterable(map(repeat, map(rank.__getitem__, tails), lens))),
-        list(chain.from_iterable(map(range, lens))),
-    )
-
-
-def _pages_np(np, g: OTStDigraph, c) -> PageColumns:
-    """:func:`_pages_py` on arrays."""
-    n = g.n
-    ids = np.frombuffer(g.arrays.cyc, dtype=np.intc).astype(np.int64)
-    path, tails, starts, xs, ys = (
-        np.asarray(col, dtype=np.int64)
-        for col in (c.path, c.tails, c.starts, c.xs, c.ys)
-    )
-    pos = np.empty(n, dtype=np.int64)
-    pos[ids] = np.arange(n)
-    rank = np.empty(n, dtype=np.int64)
-    rank[path] = np.arange(n)
-    after = np.append(path[1:], path[-1])
-    before = np.insert(path[:-1], 0, path[0])
-    vr = rank[pos]
-    nxt = after[vr]
-    wide = (before[vr] - nxt) % n
-    keys = np.frombuffer(g.base.keys, dtype=np.int64)
-    u, v = keys // n, keys % n
-    lower = (pos[v] - nxt[u]) % n < wide[u]
-    upper = (pos[u] - nxt[v]) % n <= wide[v]
-    codes = (vr[u] * n + vr[v]) * 4 + 2 * lower + (lower != upper)
-    lens = np.diff(starts)
-    return PageColumns(
-        n,
-        *(
-            col.tolist()
-            for col in (
-                ids[path], codes, ids[xs], ids[ys], rank[xs] * n + rank[ys],
-                np.repeat(rank[tails], lens),
-                np.arange(len(xs)) - np.repeat(starts[:-1], lens),
-            )
-        ),
+        gaps,
+        ranks,
     )
 
 
 def _check_sides(g: OTStDigraph, cols: PageColumns) -> None:
     """Raise ``internal`` unless exactly the crossed edges change pages."""
     codes = cols.codes
-    changed = sorted(compress(codes, map((1).__and__, codes)))
-    crossed = sorted(cols.crossed)
-    if [c >> 2 for c in changed] == crossed:
+    if sorted([c >> 2 for c in codes if c & 1]) == sorted(cols.crossed):
         return
-    crossed = set(crossed)
+    crossed = set(cols.crossed)
     for e, c in zip(g.base.pairs(), codes):
         if c & 1 != (c >> 2 in crossed):
             name = g.base.name_edge(e)
@@ -214,7 +183,7 @@ def _records(base: EmbeddedDigraph, cols: PageColumns) -> dict:
         SpineCrossing(edge=e, gap=gap, rank_in_gap=j)
         for e, gap, j in zip(zip(cols.xs, cols.ys), cols.gaps, cols.ranks)
     )
-    assignment = dict(zip(base.pairs(), (_PAGES[c >> 1 & 1] for c in cols.codes)))
+    assignment = {e: _BY_CODE[c & 3] for e, c in zip(base.pairs(), cols.codes)}
     for crossing in crossings:
         lower = assignment[crossing.edge].page
         assignment[crossing.edge] = SplitArc(
@@ -240,21 +209,22 @@ def validate_embedding(g: EmbeddedDigraph, b: BookEmbedding) -> list[str]:
     """
     out: list[str] = []
     n = g.n
-    if sorted(b.spine) != list(range(n)):
+    spine, assignment = b.spine, b.assignment  # b may be a Deferred: read once
+    if sorted(spine) != list(range(n)):
         return ["spine is not a permutation of the vertices"]
     rank = [0] * n
-    for i, v in enumerate(b.spine):
+    for i, v in enumerate(spine):
         rank[v] = i
     # As many assigned edges as edges, each edge assigned: the same set.
-    if len(b.assignment) != g.m:
+    if len(assignment) != g.m:
         return ["assignment does not cover exactly the edge set"]
     for e in g.pairs():
-        if e not in b.assignment:
+        if e not in assignment:
             return ["assignment does not cover exactly the edge set"]
         if rank[e[0]] >= rank[e[1]]:
             out.append(f"edge {g.name_edge(e)} is not upward on the spine")
     split_crossings = []
-    for e, placement in b.assignment.items():
+    for e, placement in assignment.items():
         if isinstance(placement, PageArc):
             if placement.page not in ("L", "R"):
                 out.append(f"edge {g.name_edge(e)} has page {placement.page!r}")
@@ -280,7 +250,7 @@ def validate_embedding(g: EmbeddedDigraph, b: BookEmbedding) -> list[str]:
     for gap, ranks in sorted(by_gap.items()):
         if sorted(ranks) != list(range(len(ranks))):
             out.append(f"gap {gap} ranks are not 0..{len(ranks) - 1}")
-        if gap + 1 < n and (b.spine[gap], b.spine[gap + 1]) in b.assignment:
+        if gap + 1 < n and (spine[gap], spine[gap + 1]) in assignment:
             out.append(
                 f"gap {gap} carries crossings although its spine pair is "
                 f"an edge"
@@ -291,7 +261,7 @@ def validate_embedding(g: EmbeddedDigraph, b: BookEmbedding) -> list[str]:
     # rank order.
     at = list(accumulate((1 + len(by_gap.get(i, ())) for i in range(n)), initial=0))
     pages: dict[str, list[tuple[int, int, DirectedEdge]]] = {}
-    for e, placement in b.assignment.items():
+    for e, placement in assignment.items():
         lo, hi = at[rank[e[0]]], at[rank[e[1]]]
         if isinstance(placement, PageArc):
             pages.setdefault(placement.page, []).append((lo, -hi, e))
@@ -331,14 +301,15 @@ def from_book_embedding(
         by_gap.setdefault(c.gap, []).append(c)
     completion: list[DirectedEdge] = []
     crossings: list[tuple[DirectedEdge, ...]] = []
-    for i, (a, bb) in enumerate(zip(b.spine, b.spine[1:])):
-        if (a, bb) in b.assignment:  # an edge: validate_embedding checked them
+    spine, assignment = b.spine, b.assignment
+    for i, (a, bb) in enumerate(zip(spine, spine[1:])):
+        if (a, bb) in assignment:  # an edge: validate_embedding checked them
             continue
         completion.append((a, bb))
         lst = sorted(by_gap.get(i, []), key=lambda c: c.rank_in_gap)
         crossings.append(tuple(c.edge for c in lst))
     return HpCompletionResult(
-        path=b.spine,
+        path=spine,
         completion_edges=tuple(completion),
         crossings=tuple(crossings),
         total_crossings=len(b.crossings),
@@ -396,8 +367,9 @@ def render_svg(b: BookEmbedding) -> str:
     """Deterministic SVG: vertical spine, vertices at integer ranks, edges
     as half-circle arcs left/right, split edges as two arcs meeting at
     their crossing point on the spine."""
-    n = len(b.spine)
-    rank = {v: i for i, v in enumerate(b.spine)}
+    spine, assignment, names = b.spine, b.assignment, b.names
+    n = len(spine)
+    rank = {v: i for i, v in enumerate(spine)}
     per_gap: dict[int, int] = {}
     for c in b.crossings:
         per_gap[c.gap] = max(per_gap.get(c.gap, -1), c.rank_in_gap)
@@ -424,8 +396,8 @@ def render_svg(b: BookEmbedding) -> str:
             f'0 0 {sweep} {cx:.1f} {y2:.1f}" fill="none" stroke="{color}"/>'
         )
 
-    for e in sorted(b.assignment, key=lambda e: (rank[e[0]], rank[e[1]])):
-        placement = b.assignment[e]
+    for e in sorted(assignment, key=lambda e: (rank[e[0]], rank[e[1]])):
+        placement = assignment[e]
         lo, hi = rank[e[0]], rank[e[1]]
         if isinstance(placement, PageArc):
             parts.append(arc(lo, hi, placement.page, "#000"))
@@ -439,12 +411,12 @@ def render_svg(b: BookEmbedding) -> str:
                 f'<rect x="{cx - 2.5:.1f}" y="{y - 2.5:.1f}" width="5" '
                 f'height="5" fill="#c22"/>'
             )
-    for v in b.spine:
+    for v in spine:
         y = _spine_y(rank[v], n)
         parts.append(f'<circle cx="{cx:.1f}" cy="{y:.1f}" r="3" fill="#000"/>')
         parts.append(
             f'<text x="{cx + 8:.1f}" y="{y + 4:.1f}" font-size="12" '
-            f'font-family="monospace">{b.names[v]}</text>'
+            f'font-family="monospace">{names[v]}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -590,9 +590,16 @@ def _crossings_np(layout: Layout, sides, pc: PathColumns):
     size = n_in + n_out + 1 + merged[at]
     starts = np.zeros(len(pc.counts) + 1, dtype=np.int64)
     np.cumsum(pc.counts, out=starts[1:])
-    if int(size.sum()) != int(starts[-1]):
+    # Each hop's polygons follow one another, from its root on.
+    first = np.flatnonzero(np.diff(root_of[at], prepend=-1))
+    got = np.add.reduceat(size, first) if len(at) else size
+    wrong = np.flatnonzero(got != pc.counts)
+    if len(wrong):
+        h = wrong[0]
         raise GraphError(
-            "internal", f"hops cross {int(size.sum())} edges, not {int(starts[-1])}"
+            "internal",
+            f"hop from element {pc.roots[h]} crosses {got[h]} edges, "
+            f"not {pc.counts[h]}",
         )
     el = np.repeat(np.arange(len(at)), size)
     w = np.arange(len(el), dtype=np.int64) - (np.cumsum(size) - size)[el]

@@ -439,16 +439,24 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     if len(starts) != len(tails) + 1:
         out.append("crossing lists do not match completion edges")
         return out
+    back = _backward(np, g, rank)
     out += [
         f"edge {base.name_edge(divmod(k, n))} runs backwards along the path"
-        for k in _backward(np, g, rank)
+        for k in back
     ]
     if r.total_crossings != starts[-1]:
         out.append("total_crossings does not equal the sum of list lengths")
-    forced = _forced_counts(np, g.arrays, tails, heads)
+    # A completion edge (a, b) whose reverse is an edge makes that edge run
+    # backwards: the backward edges hold every edge joining its ends.
+    forced = _forced_counts(np, g.arrays, tails, heads, back)
     lists_ok = _lists_ok_py if np is None else _lists_ok_np
     if not lists_ok(np, g, cols, rank, forced):
-        out += _list_messages(g, r, forced if np is None else forced.tolist())
+        wrong = _list_messages(g, r, forced if np is None else forced.tolist())
+        if not wrong:
+            raise GraphError(
+                "internal", "the column check rejects a crossing list no message names"
+            )
+        out += wrong
     if not out:
         r.__dict__["_verified"] = g  # both are immutable
     return out
@@ -462,7 +470,10 @@ def _path_ranks(np, path, n: int):
     if np is None:
         if set(path) != set(range(n)):
             return None
-        return sorted(range(n), key=path.__getitem__)
+        rank = [0] * n
+        for i, p in enumerate(path):
+            rank[p] = i
+        return rank
     if path.min() < 0 or path.max() >= n:
         return None
     rank = np.full(n, -1, dtype=np.int64)
@@ -500,7 +511,7 @@ def _backward(np, g: OTStDigraph, rank) -> list[int]:
     along the path whose positions have ranks ``rank``."""
     n, keys = g.n, g.base.keys
     if np is None:
-        by_id = list(map(rank.__getitem__, g.cycle_pos))
+        by_id = [rank[p] for p in g.cycle_pos]
         return [k for k in keys if by_id[k // n] >= by_id[k % n]]
     by_id = np.empty(n, dtype=np.int64)
     by_id[np.frombuffer(g.arrays.cyc, dtype=np.intc)] = rank
@@ -508,9 +519,11 @@ def _backward(np, g: OTStDigraph, rank) -> list[int]:
     return keys[by_id[keys // n] >= by_id[keys % n]].tolist()
 
 
-def _forced_counts(np, a: OtArrays, tails, heads):
-    """Per completion edge (a, b), in positions, the number of edges that
-    join the open boundary arc from a to b to the rest of the cycle.
+def _forced_counts(np, a: OtArrays, tails, heads, edges):
+    """Per pair (a, b) of distinct positions, the number of edges that join
+    the open boundary arc from a to b to the rest of the cycle less a and
+    b.  ``edges`` holds, ascending, the keys of the edges that join the two
+    ends of a pair (it may hold other edge keys too).
 
     Each edge is a chord of the boundary cycle and no two chords cross, so
     the slots read as brackets: each row read backwards, its slots to
@@ -522,8 +535,10 @@ def _forced_counts(np, a: OtArrays, tails, heads):
     between x = min(a, b) and y = max(a, b) and of [x, y], one is the arc
     from a to b and the other the rest of the cycle less a and b; their
     two counts add up to twice the forced crossings plus the degrees of a
-    and b, which leaves B[x] + B[y] - M - min(M, B[x], B[y]) with M the
-    minimum of B strictly between x and y.
+    and b less twice the edge joining a and b, if there is one.  That
+    leaves B[x] + B[y] - M - min(M, B[x], B[y]), with M the minimum of B
+    strictly between x and y, plus 1 if a and b are joined.  Cycle
+    neighbours x + 1 = y have no arc between them and force nothing.
 
     A row lists its neighbours above it ascending, then those below it
     ascending (checked by :func:`~hpccm.graph_model.classify_ot`), and
@@ -533,7 +548,7 @@ def _forced_counts(np, a: OtArrays, tails, heads):
     row's lower neighbours begin, and with U[p] the slots to higher
     positions before row p, B[p] = U[p] + U[p + 1] - off[p + 1] (``low``).
     """
-    n, off, nbr = a.n, a.off, a.nbr
+    n, off, nbr, cyc = a.n, a.off, a.nbr, a.cyc
     lo, hi = off[1] + 1, off[n - 1]
     if np is None:
         if not tails:
@@ -548,8 +563,15 @@ def _forced_counts(np, a: OtArrays, tails, heads):
         ends = [(p, q) if p < q else (q, p) for p, q in zip(tails, heads)]
         out = []
         for (x, y), m in zip(ends, _range_min_py(low, ends)):
+            if m is None:
+                out.append(0)
+                continue
             bx, by = low[x], low[y]
-            out.append(bx + by - m - (m if m < bx and m < by else min(bx, by)))
+            f = bx + by - m - (m if m < bx and m < by else min(bx, by))
+            if edges:
+                u, v = cyc[x], cyc[y]
+                f += _has(edges, u * n + v) or _has(edges, v * n + u)
+            out.append(f)
         return out
     off = np.frombuffer(off, dtype=np.intc).astype(np.int64)
     nbr = np.frombuffer(nbr, dtype=np.intc)
@@ -560,22 +582,41 @@ def _forced_counts(np, a: OtArrays, tails, heads):
     np.cumsum(down - off[:-1], out=up[1:])
     low = up[:-1] + up[1:] - off[1:]
     x, y = np.minimum(tails, heads), np.maximum(tails, heads)
+    wide = np.flatnonzero(y - x > 1)
+    x, y = x[wide], y[wide]
     inner = _range_min_np(np, low, x + 1, y - 1)
     bx, by = low[x], low[y]
-    return bx + by - inner - np.minimum(inner, np.minimum(bx, by))
+    ids = np.frombuffer(cyc, dtype=np.intc).astype(np.int64)
+    u, v = ids[x], ids[y]
+    joined = np.isin(u * n + v, edges) | np.isin(v * n + u, edges)
+    out = np.zeros(len(tails), dtype=np.int64)
+    out[wide] = bx + by - inner - np.minimum(inner, np.minimum(bx, by)) + joined
+    return out
 
 
-def _range_min_py(vals: list[int], ends: list[tuple[int, int]]) -> list[int]:
-    """min(vals[x + 1..y - 1]) per (x, y) with x + 1 < y: one sweep up the
-    values with a stack of the positions whose value is below every later
-    one so far, bisected at each query's x + 1 once the sweep reaches its
-    y - 1."""
-    out = [0] * len(ends)
+def _has(keys: Sequence[int], k: int) -> bool:
+    """Whether the ascending ``keys`` hold ``k``."""
+    i = bisect_left(keys, k)
+    return i < len(keys) and keys[i] == k
+
+
+def _range_min_py(vals: list[int], ends: list[tuple[int, int]]) -> list:
+    """min(vals[x + 1..y - 1]) per (x, y) with x < y, None where x + 1 = y.
+    Where the ranges add up to at most 8 len(vals) values, each is read in
+    one ``min`` (a slice of a few values costs less than a step of the
+    sweep); else one sweep up the values keeps a stack of the positions
+    whose value is below every later one so far, bisected at each query's
+    x + 1 once the sweep reaches its y - 1."""
+    if sum(y - x for x, y in ends) <= 8 * len(vals):
+        return [min(vals[x + 1 : y]) if y - x > 1 else None for x, y in ends]
+    out: list = [None] * len(ends)
     at: list[int] = []
     mins: list[int] = []
-    p = min(ends, default=(0, 0))[0] + 1
-    for q in sorted(range(len(ends)), key=lambda q: ends[q][1]):
+    p = min(ends)[0] + 1
+    for q in sorted(range(len(ends)), key=[y for _, y in ends].__getitem__):
         x, y = ends[q]
+        if y - x < 2:
+            continue
         while p < y:
             v = vals[p]
             while mins and mins[-1] >= v:

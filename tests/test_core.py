@@ -11,6 +11,7 @@ import hpccm.graph_model as gm
 from hpccm import (
     EmbeddedDigraph,
     GenProfile,
+    GraphError,
     HpCompletionResult,
     StPolygon,
     all_costs,
@@ -25,6 +26,7 @@ from hpccm import (
     solve,
     verify_solution,
 )
+from hpccm.core import backtrack, build_path, crossing_columns
 from hpccm.decomposition import _decompose
 from hpccm.oracle_gen import construct_path, polygon_costs
 
@@ -81,6 +83,27 @@ def test_kernel_path_matches_record_construction(kernel_corpus):
         path, ces, crossings = construct_path(d, costs, sides)
         assert (r.path, r.completion_edges, r.crossings) == (path, ces, crossings)
         assert r.total_crossings == table.minimum
+
+
+@pytest.mark.parametrize("numpy", [False, True])
+def test_crossing_columns_check_every_hop(numpy):
+    # Hop counts that are off in opposite directions keep the total; each
+    # hop's own count still gives them away.
+    np = pytest.importorskip("numpy") if numpy else None
+    ot = polygon_stack(6)
+    d = _decompose(ot, np)
+    cost_l, cost_r, back_l, back_r = dp_solve(d, all_costs(d)).columns
+    back_l, back_r = (list(map(int, back)) for back in (back_l, back_r))
+    sides = backtrack(back_l, back_r, 0 if cost_l[-1] <= cost_r[-1] else 1)
+    pc = build_path(d.layout, sides)
+    assert len(pc.counts) >= 2
+    crossing_columns(d.layout, sides, pc)
+    counts = pc.counts.copy()
+    counts[0] += 1
+    counts[1] -= 1
+    with pytest.raises(GraphError, match="hop from element") as err:
+        crossing_columns(d.layout, sides, pc._replace(counts=counts))
+    assert err.value.kind == "internal"
 
 
 def test_pure_kernel_without_numpy(monkeypatch):

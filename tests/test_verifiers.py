@@ -16,6 +16,7 @@ import hpccm.solver
 from hpccm import (
     BookEmbedding,
     GenProfile,
+    GraphError,
     HpCompletionResult,
     PageArc,
     SpineCrossing,
@@ -170,6 +171,12 @@ def crossed_twice(ot, r):
     return None
 
 
+def reversed_order(ot, r):
+    """The complete, well-ordered answer along the path reversed: every
+    path step runs backwards, some of them along boundary edges."""
+    return _honest(ot, tuple(reversed(r.path)))
+
+
 RESULT_CORRUPTIONS = {
     "dropped crossing": drop_crossing,
     "extra crossing": extra_crossing,
@@ -177,6 +184,7 @@ RESULT_CORRUPTIONS = {
     "reversed path": reverse_path,
     "reversed edge": reverse_edge,
     "crossed twice": crossed_twice,
+    "reversed order": reversed_order,
 }
 
 
@@ -309,6 +317,18 @@ def test_checkers_agree_with_pairwise_oracles(oracle_corpus):
 
 @pytest.mark.parametrize("kind", sorted(RESULT_CORRUPTIONS))
 def test_mutation_gate_results(kind, gate_instances):
+    _gate_results(kind, gate_instances)
+
+
+@pytest.mark.parametrize("kind", sorted(RESULT_CORRUPTIONS))
+def test_mutation_gate_results_with_numpy(kind, gate_instances, monkeypatch):
+    # The array forms of the checks name the same violations.
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    _gate_results(kind, gate_instances)
+
+
+def _gate_results(kind, gate_instances):
     corrupt = RESULT_CORRUPTIONS[kind]
     applied = 0
     for ot in gate_instances:
@@ -349,6 +369,17 @@ def test_interleaving_pages_named(gate_instances):
     assert named >= 3
 
 
+def test_list_rejected_without_message_is_internal(monkeypatch):
+    # The column check and the messages must agree: a list the check
+    # rejects and no message names would otherwise pass as valid.
+    ot = polygon_stack(3)
+    bad = drop_crossing(ot, solve(ot))
+    monkeypatch.setattr(hpccm.solver, "_list_messages", lambda *args: [])
+    with pytest.raises(GraphError, match="no message names") as err:
+        verify_solution(ot, bad)
+    assert err.value.kind == "internal"
+
+
 def test_verify_calls_interleaves_once_per_crossing(monkeypatch):
     ot = polygon_stack(2000)
     r = solve(ot, check=False)
@@ -379,9 +410,9 @@ def test_default_solve_and_round_trip_at_ten_thousand_vertices():
 def _forced_cases(oracle_corpus):
     """(instance, pairs of positions a, b) whose forced crossings are
     counted: every completion edge of the oracle corpus's answers and of
-    polygon_stack(1..8), and both orders of every pair on opposite chains
-    that is no edge in 50 small random_ot draws, so that the arc from a
-    to b runs over position 0 as often as not."""
+    polygon_stack(1..8), and in 50 small random_ot draws both orders of
+    every pair on opposite chains, so that the arc from a to b runs over
+    position 0 as often as not, and of every pair of cycle neighbours."""
     records, _ = oracle_corpus
     cases = []
     for ot in [*(ot for ot, *_ in records), *map(polygon_stack, range(1, 9))]:
@@ -394,16 +425,10 @@ def _forced_cases(oracle_corpus):
             rng.randint(1, 8), rng.randint(1, 8), rng.random(), rng.getrandbits(32)
         )
         ot = random_ot(prof)
-        k, n, cyc = ot.arrays.k, ot.n, ot.arrays.cyc
-        pairs = [
-            pair
-            for p in range(1, k + 1)
-            for q in range(k + 2, n)
-            if not ot.base.has_edge((cyc[p], cyc[q]))
-            and not ot.base.has_edge((cyc[q], cyc[p]))
-            for pair in ((p, q), (q, p))
-        ]
-        cases.append((ot, pairs))
+        k, n = ot.arrays.k, ot.n
+        chains = [(p, q) for p in range(1, k + 1) for q in range(k + 2, n)]
+        steps = [(p, p + 1) for p in range(n - 1)] + [(0, n - 1)]
+        cases.append((ot, [pair for p, q in chains + steps for pair in ((p, q), (q, p))]))
     return cases
 
 
@@ -415,20 +440,25 @@ def test_forced_counts_match_interleaving_edges(oracle_corpus, monkeypatch, nump
     if numpy_min_n is not None:
         pytest.importorskip("numpy")
         monkeypatch.setattr(gm, "NUMPY_MIN_N", numpy_min_n)
-    counted = 0
+    counted = joined = 0
     for ot, pairs in _forced_cases(oracle_corpus):
         if not pairs:
             continue
-        n, cyc = ot.n, ot.arrays.cyc
+        n, cyc, keys = ot.n, ot.arrays.cyc, ot.base.keys
         np = gm.backend(n)
         tails, heads = ([p for p, _ in pairs], [q for _, q in pairs])
         if np is not None:
             tails, heads = np.array(tails), np.array(heads)
-        got = hpccm.solver._forced_counts(np, ot.arrays, tails, heads)
+        got = hpccm.solver._forced_counts(np, ot.arrays, tails, heads, keys)
         brute = [
             sum(interleaves(ot.cycle_pos, n, (cyc[p], cyc[q]), e) for e in ot.base.pairs())
             for p, q in pairs
         ]
         assert list(got) == brute, ot.base.names
         counted += len(pairs)
+        joined += sum(
+            ot.base.has_edge((cyc[p], cyc[q])) or ot.base.has_edge((cyc[q], cyc[p]))
+            for p, q in pairs
+        )
     assert counted > 2000
+    assert joined > 500
