@@ -801,7 +801,44 @@ def parse_graph(text: str) -> EmbeddedDigraph:
     edges (list of [tail, head] name pairs) and rotation (name -> clockwise
     neighbour list).  The source's rotation array must start at its
     leftmost edge; this pins down the outer face.
+
+    At numpy sizes a text in :func:`serialize_graph`'s layout, whitespace
+    aside, is read straight from its bytes (:func:`_read_bytes`); any other
+    text, and every text below that size, through ``json.loads``.
     """
+    # At numpy sizes the load builds no reference cycles, so reference
+    # counting frees all it drops; the cyclic collector would only traverse
+    # the parsed rows and edge lists, again and again.  Below that size the
+    # pause saves little.  n is first read off the layout, and again after
+    # json.loads for a text in another one.
+    enabled = gc.isenabled()
+    np = backend(_vertex_count(text))
+    if np is not None:
+        gc.disable()
+    try:
+        g = None if np is None else _read_bytes(np, text)
+        if g is None:
+            data, names = _load_json(text)
+            if backend(len(names)) is not None:
+                gc.disable()
+            ids = {name: i for i, name in enumerate(names)}
+            g = _read_bulk(data, names, ids) or _read_py(data, names, ids)
+        validate_embedded(g)
+    finally:
+        if enabled:
+            gc.enable()
+    return g
+
+
+def _vertex_count(text: str) -> int:
+    """n for a text in :func:`serialize_graph`'s layout, found at C speed:
+    its quotes before the first ``]`` are those of the key "vertices" and of
+    the n names."""
+    return text.count('"', 0, text.find("]")) // 2 - 1
+
+
+def _load_json(text: str) -> tuple[dict, list[str]]:
+    """The format object of ``text`` and its checked vertex list."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -824,21 +861,128 @@ def parse_graph(text: str) -> EmbeddedDigraph:
         raise GraphError("schema", "vertices must be a non-empty list of names")
     if len(set(names)) != len(names):
         raise GraphError("schema", "duplicate vertex names")
-    # At numpy sizes the rest builds no reference cycles, so reference
-    # counting frees all it drops; the cyclic collector would only traverse
-    # the parsed rows and edge lists, again and again.  Below that size the
-    # pause saves little.
-    paused = backend(len(names)) is not None and gc.isenabled()
-    if paused:
-        gc.disable()
-    try:
-        ids = {name: i for i, name in enumerate(names)}
-        g = _read_bulk(data, names, ids) or _read_py(data, names, ids)
-        validate_embedded(g)
-    finally:
-        if paused:
-            gc.enable()
-    return g
+    return data, names
+
+
+# The byte reader's alphabet.  Outside the names a text may hold only JSON
+# whitespace and the skeleton: quotes and punctuation.  Separators, the
+# skeleton between two names, and names are read as big-endian numbers.
+_SKELETON = b'",:[]{}'
+_NOT_SKELETON = bytes(sorted(set(range(256)).difference(_SKELETON)))
+_NOT_NAME = b" \t\n\r" + _SKELETON
+_COMMA, _LIST, _LIST_END, _COLON, _EDGES, _EDGE, _EDGES_END, _ROTATION = (
+    int.from_bytes(sep, "big")
+    for sep in (b",", b":[", b"],", b":", b":[[", b"],[", b"]],", b":{")
+)
+_KEY_WORDS = [int.from_bytes(key.encode(), "big") for key in _FORMAT_KEYS]
+
+
+def _read_bytes(np, text: str):
+    """:func:`_read_bulk`'s graph of a text in :func:`serialize_graph`'s
+    layout, whitespace aside, read from its bytes with numpy; None for any
+    other text, and where :func:`_read_bulk` would return None.
+
+    Each name is one word: its bytes (at most 8) as a big-endian number,
+    read through an unaligned view that ends at its closing quote.  The
+    names hold no whitespace, quote, backslash, punctuation or control
+    byte, and all other non-whitespace bytes lie in names; so the text is
+    JSON that ``json.loads`` reads as this graph exactly when the skeleton
+    matches the format, with each separator read as one number.
+    """
+    if not text.isascii() or "\\" in text:
+        return None
+    raw = text.encode("ascii")
+    quote = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == 34)
+    if len(quote) < 4 or len(quote) % 2:
+        return None
+    size = quote[1::2] - quote[0::2] - 1
+    if size.max() > 8 or quote[1] < 8:
+        return None
+    word = _words(np, raw, quote[1::2], size, 8)
+    del quote
+    total = int(size.sum())
+    if np.count_nonzero(word.view(np.uint8) <= 32) != 8 * len(word) - total:
+        return None  # a name with a space or control byte
+    if len(raw.translate(None, _NOT_NAME)) != total:
+        return None  # a byte outside the names that is no JSON whitespace
+    del size
+    skeleton = raw.translate(None, _NOT_SKELETON)
+    opens = np.flatnonzero(np.frombuffer(skeleton, dtype=np.uint8) == 34)
+    closes, opens = opens[1::2], opens[0::2]
+    if (closes - opens != 1).any():
+        return None  # punctuation in a name
+    gap = opens[1:] - closes[:-1] - 1
+    ends_ok = skeleton[:5] == b'{"":[' and skeleton[closes[-1] + 1 :] == b"]}}"
+    if not ends_ok or gap.max() > 3:
+        return None
+    del closes
+    # code[i]: the separator after token i, 0 where there is none.  Tokens:
+    # "vertices", n names, "source", s, "sink", t, "edges", 2m ends,
+    # "rotation", then each row's key and its names.
+    code = _words(np, skeleton, opens[1:], gap, 4)
+    del opens, gap, skeleton
+    tokens = len(word)
+    n = int(np.argmax(code[1:] != _COMMA)) + 1
+    e = n + 5
+    header = [_LIST_END, _COLON, _COMMA, _COLON, _COMMA, _EDGES]
+    if e + 4 > tokens or code[0] != _LIST or code[n : e + 1].tolist() != header:
+        return None
+    end = e + 1 + int(np.argmax(code[e + 1 :] == _EDGES_END))
+    r = end + 2
+    if (end - e) % 2 or r + 2 > tokens:  # odd also where no "]]," is found
+        return None
+    # "," after each tail, "],[" after each head but the last.
+    pairs = code[e + 1 : end]
+    if (pairs[0::2] != _COMMA).any() or (pairs[1::2] != _EDGE).any():
+        return None
+    # Each row: its key, ":[", names apart by "," and "],"; the last one
+    # ends the text with "]}}".
+    rows = code[r:]
+    key = np.empty(tokens - r, dtype=np.bool_)
+    key[0], key[1:] = True, rows == _LIST_END
+    if key[-1] or ((rows == _LIST) != key[:-1]).any():
+        return None
+    if not (key[:-1] | key[1:] | (rows == _COMMA)).all():
+        return None
+    at = np.flatnonzero(key)
+    if len(at) != n or code[end + 1] != _ROTATION:
+        return None
+    if word[[0, n + 1, n + 3, e, end + 1]].tolist() != _KEY_WORDS:
+        return None
+    vertex = word[1 : n + 1]
+    if (word[r + at] != vertex).any():
+        return None  # the rows out of vertex order
+    order = np.argsort(vertex)
+    ordered = vertex[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        return None  # a vertex listed twice
+    del code, key
+
+    def ids(words):
+        i = np.searchsorted(ordered, words)
+        np.minimum(i, n - 1, out=i)
+        return None if (ordered[i] != words).any() else order[i]
+
+    st, ends = ids(word[[n + 2, n + 4]]), ids(word[e + 1 : end + 1])
+    head = ids(np.delete(word[r:], at))
+    if st is None or ends is None or head is None:
+        return None
+    # The vertex list, its whitespace and quotes removed, is the names
+    # joined by commas.
+    listed = raw[raw.find(b"[") + 1 : raw.find(b"]")].translate(None, b' \t\n\r"')
+    names = tuple(listed.decode("ascii").split(","))
+    off = array("i", np.append(at - np.arange(n), len(head)).astype(np.intc).tobytes())
+    nbr = array("i", head.astype(np.intc).tobytes())
+    return _from_ids(names, *st.tolist(), ends, off, nbr)
+
+
+def _words(np, buf: bytes, ends, sizes, width: int):
+    """The big-endian numbers formed by the ``sizes[i]`` bytes of ``buf``
+    just before offset ``ends[i]``; each size at most ``width``, each end
+    at least ``width``."""
+    view = np.ndarray((len(buf) - width + 1,), f">u{width}", buf, strides=(1,))
+    mask = np.array([(1 << 8 * k) - 1 for k in range(width + 1)], f"u{width}")
+    return view[ends - width] & mask[sizes]
 
 
 def _read_bulk(data: dict, names: list[str], ids: dict[str, int]):
@@ -864,10 +1008,21 @@ def _read_bulk(data: dict, names: list[str], ids: dict[str, int]):
         nbr = array("i", list(map(get, chain.from_iterable(rows))))
     except (KeyError, TypeError):
         return None
-    # A self-loop has equal ends, an edge listed twice equal neighbouring keys.
-    n, np = len(names), backend(len(names))
+    np = backend(len(names))
     if np is not None:
         ends = np.frombuffer(array("i", ends), dtype=np.intc).astype(np.int64)
+    off = array("i", [0])
+    off.extend(accumulate(map(len, rows)))
+    return _from_ids(tuple(names), s, t, ends, off, nbr)
+
+
+def _from_ids(names: tuple[str, ...], s: int, t: int, ends, off: array, nbr: array):
+    """The graph whose edge i is (ends[2i], ends[2i + 1]), ids in a list,
+    or in an int64 numpy array at numpy sizes, and whose rows are
+    ``nbr[off[v]:off[v + 1]]``; None on a self-loop or an edge listed
+    twice."""
+    # A self-loop has equal ends, an edge listed twice equal neighbouring keys.
+    n, np = len(names), backend(len(names))
     tails, heads = ends[0::2], ends[1::2]
     if np is None:
         k = sorted(map(add, map(mul, tails, repeat(n)), heads))
@@ -878,9 +1033,7 @@ def _read_bulk(data: dict, names: list[str], ids: dict[str, int]):
     if bad:
         return None
     keys = array("q", k if np is None else k.tobytes())
-    off = array("i", [0])
-    off.extend(accumulate(map(len, rows)))
-    return EmbeddedDigraph._from_slots(tuple(names), s, t, keys, off, nbr)
+    return EmbeddedDigraph._from_slots(names, s, t, keys, off, nbr)
 
 
 def _read_py(data: dict, names: list[str], ids: dict[str, int]) -> EmbeddedDigraph:

@@ -1146,3 +1146,204 @@ def test_parse_graph_pauses_the_collector_at_size(monkeypatch):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# The byte reader against json.loads
+
+
+def _json_graph(text: str):
+    """The graph json.loads's object gives before validation (None where
+    the file-order reader would raise), or the error raised building it."""
+    try:
+        data, names = gm._load_json(text)
+        return gm._read_bulk(data, names, {name: i for i, name in enumerate(names)})
+    except GraphError as exc:
+        return (exc.kind, str(exc))
+
+
+def _byte_graph(np, text: str):
+    """The byte reader's graph, None, or the error raised building it."""
+    try:
+        return gm._read_bytes(np, text)
+    except GraphError as exc:
+        return (exc.kind, str(exc))
+
+
+def _declined_or_same(np, text: str) -> bool:
+    """Whether the byte reader reads ``text``; where it does, json.loads
+    must accept the text and give the same graph or the same error."""
+    got = _byte_graph(np, text)
+    if got is None:
+        return False
+    ref = _json_graph(text)
+    assert ref is not None and got == ref, text[:200]
+    if isinstance(got, EmbeddedDigraph):
+        for name in ("names", "s", "t", "keys", "off", "nbr", "out", "twin"):
+            assert getattr(got, name) == getattr(ref, name), name
+    return True
+
+
+def test_byte_reader_reads_every_generated_file(kernel_corpus, monkeypatch):
+    # With the threshold at 0 every file in serialize_graph's layout is
+    # read by the byte reader itself, in the canonical and in json.dumps's
+    # default whitespace, and gives json.loads's graph: its arrays, its
+    # key column, and the same OtArrays after classification.
+    np = pytest.importorskip("numpy")
+    draws = (GenProfile(700, 900, polygon_bias=b, seed=13) for b in (0, 0.5, 1))
+    small = (GenProfile(1 + i % 7, 1 + i % 5, (i % 5) / 4, seed=i) for i in range(40))
+    instances = [*kernel_corpus, *map(random_ot, draws), *map(random_ot, small)]
+    texts = [serialize_graph(ot.base) for ot in instances]
+    texts += [json.dumps(json.loads(text)) for text in texts[::7]]
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    with monkeypatch.context() as m:
+        m.setattr(gm, "_read_bytes", lambda np, text: None)
+        refs = [classify_ot(parse_graph(text)) for text in texts]
+    for name in ("_read_bulk", "_read_py"):
+        monkeypatch.setattr(gm, name, _pure_path_fails)
+    for text, ref in zip(texts, refs):
+        ot = classify_ot(parse_graph(text))
+        for name in ("names", "s", "t", "keys", "off", "nbr", "out", "twin", "edges"):
+            assert getattr(ot.base, name) == getattr(ref.base, name), name
+        assert ot.base == ref.base and hash(ot.base) == hash(ref.base)
+        for name in gm.OtArrays.__slots__:
+            assert getattr(ot.arrays, name) == getattr(ref.arrays, name), name
+        check_key_column(ot.base, frozenset(ref.base.edges))
+
+
+def _renamed(text: str, names: list[str]) -> str:
+    """``text`` (serialize_graph's) with its vertices renamed in order."""
+    g = parse_graph(text)
+    return serialize_graph(replace(g, names=tuple(names)))
+
+
+def _mutations(text: str) -> dict[str, str]:
+    """Named edits of ``text``, serialize_graph's layout of a graph whose
+    vertex names include "s", "l1" and "t"."""
+    data = json.loads(text)
+    names, dumps, rot = data["vertices"], json.dumps, data["rotation"]
+    n = len(names)
+    comma = _renamed(text, ["a,b", *map(str, range(1, n))])
+    g = parse_graph(text)
+    u, w = next((u, w) for u in range(n) for w in range(u) if not g.has_edge((w, u)))
+    head, tail = text.split('  "edges"', 1)
+    out = {
+        "compact": dumps(data, separators=(",", ":")),
+        "default spacing": dumps(data),
+        "tabs and CRLF": text.replace("  ", "\t").replace("\n", "\r\n"),
+        "space around": " \n" + text + " \t\r\n",
+        "8-byte names": _renamed(text, [f"{i:08d}" for i in range(n)]),
+        "8-byte names sharing 7": _renamed(text, [f"abcdefg{chr(48 + i)}" for i in range(n)]),
+        "empty name": _renamed(text, ["", *(f"v{i}" for i in range(1, n))]),
+        "printable names": _renamed(text, ["~!@#$%^&", "a'b", "(x)", *map(str, range(3, n))]),
+        "DEL in a name": text.replace('"l1"', '"l\x7f"'),
+        "rows swapped": text.replace('"s"', '"#"').replace('"t"', '"s"').replace('"#"', '"t"'),
+        # Declined, whether json.loads reads the same graph or not:
+        "escape": text.replace('"l1"', '"\\u006c1"'),
+        "escaped quote": text.replace('"l1"', '"l\\"1"'),
+        "sorted keys": dumps(data, sort_keys=True, indent=2),
+        "rows reordered": dumps({**data, "rotation": dict(reversed(rot.items()))}, indent=2),
+        "duplicate key": text.replace('  "sink"', '  "sink": "t",\n  "sink"'),
+        "duplicate row": text.replace('    "s": [', '    "s": ["l1"],\n    "s": ['),
+        "extra key": text.replace('  "sink"', '  "x": "t",\n  "sink"'),
+        "number for a name": head + tail.replace('"l1"', "1", 1),
+        "null for a name": head + tail.replace('"l1"', "null", 1),
+        "true for the sink": text.replace('"sink": "t"', '"sink": true'),
+        "name list for a name": text.replace('"sink": "t"', '"sink": ["t"]'),
+        "9-byte names": _renamed(text, [f"{i:09d}" for i in range(n)]),
+        "9-byte names sharing 8": _renamed(text, [f"abcdefgh{chr(48 + i)}" for i in range(n)]),
+        "space in a name": _renamed(text, ["a b", *map(str, range(1, n))]),
+        "comma in a name": _renamed(text, ["a,b", *map(str, range(1, n))]),
+        "comma in a name, letters outside": comma.replace("\n  ", " x" * comma.count("a,b"), 1),
+        "name twice": _renamed(text, [names[w] if v == u else names[v] for v in range(n)]),
+        "bracket in a name": _renamed(text, ["a]", *map(str, range(1, n))]),
+        "non-ASCII name": _renamed(text, ["é", *map(str, range(1, n))]),
+        "control byte in a name": text.replace('"l1"', '"l\x011"'),
+        "tab in a name": text.replace('"l1"', '"l\t1"'),
+        "control byte outside": text.replace(",\n", ",\x0b\n", 1),
+        "BOM": "﻿" + text,
+        "trailing letter": text + "x",
+        "trailing brace": text + "}",
+        "trailing list": text + "[]",
+        "missing comma": text.replace('",\n    "', '"\n    "', 1),
+        "double comma": text.replace('",\n    "', '",,\n    "', 1),
+        "trailing comma": text.replace('"\n  ],', '",\n  ],', 1),
+        "empty row": dumps({**data, "rotation": {**rot, "l1": []}}, indent=2),
+        "no edges": dumps({**data, "edges": []}, indent=2),
+        "nested row": text.replace('    "s": [', '    "s": [[[]],', 1),
+        "unterminated": text[: text.rindex('"')],
+        "vertex list opened twice": text.replace('"vertices": [', '"vertices": [[', 1),
+        "edges cut short": text[: text.index('  "edges"')] + '"edges": [["s"]}}',
+        "rotation cut": text[: text.index('  "rotation"')] + '"rotation"]}}',
+        "last row cut": text[: text.rindex(f'"{names[-1]}": [')] + f'"{names[-1]}"]}}}}',
+        "top-level list": f"[{text}]",
+        # Declined by the checks shared with json.loads's reader:
+        "self-loop": text.replace('[\n      "s",\n      "l1"', '[\n      "s",\n      "s"', 1),
+        "edge twice": text.replace(
+            '  "edges": [\n', '  "edges": [\n    [\n      "s",\n      "l1"\n    ],\n', 1
+        ),
+        "unknown vertex": head + tail.replace('"l1"', '"zz"', 1),
+    }
+    return out
+
+
+ACCEPTED_MUTATIONS = {
+    "compact", "default spacing", "tabs and CRLF", "space around", "8-byte names",
+    "8-byte names sharing 7", "empty name", "printable names", "DEL in a name",
+    "rows swapped",
+}
+
+
+def test_byte_reader_gives_json_loads_graph_or_declines(monkeypatch):
+    # On edited texts the byte reader gives the graph json.loads's object
+    # gives, the same error, or declines; it never reads a text json.loads
+    # rejects or reads differently.  Then parse_graph names the same error
+    # either way, and the pinned error digests hold.
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    bases = [serialize_graph(polygon_stack(3).base)]
+    bases += [serialize_graph(random_ot(GenProfile(3, 4, b, seed=5)).base) for b in (0, 1)]
+    for text in bases:
+        read = {name for name, edited in _mutations(text).items() if _declined_or_same(np, edited)}
+        assert read == ACCEPTED_MUTATIONS, read ^ ACCEPTED_MUTATIONS
+    rng = random.Random(16)
+    flips = b'",:[]{}\\\x00\x01\x7f\xe9' + b" \n\t\r0az" * 3
+    read = 0
+    for _ in range(1500):
+        raw = bytearray(rng.choice(bases).encode())
+        for _ in range(rng.randint(1, 3)):
+            raw[rng.randrange(len(raw))] = rng.choice(flips)
+        text = raw.decode("latin-1")
+        read += _declined_or_same(np, text)
+        with monkeypatch.context() as m:
+            m.setattr(gm, "_read_bytes", lambda np, text: None)
+            ref = _parse_outcome(text)
+        assert _parse_outcome(text) == ref, text
+    assert 80 <= read <= 750, read
+
+
+def _parse_outcome(text: str):
+    try:
+        g = parse_graph(text)
+    except GraphError as exc:
+        return (exc.kind, str(exc))
+    return tuple(getattr(g, name) for name in ("names", "s", "t", "keys", "off", "nbr"))
+
+
+def test_declined_large_file_loads_with_the_collector_paused(monkeypatch):
+    # A file that counts as large by its layout but that the byte reader
+    # declines (an escaped name) goes through json.loads with the cyclic
+    # collector off, and parse_graph turns it back on after.
+    pytest.importorskip("numpy")
+    text = serialize_graph(polygon_stack(gm.NUMPY_MIN_N // 2).base)
+    escaped = text.replace('"l1"', '"\\u006c1"')
+    seen, load = [], gm._load_json
+
+    def recorded(text):
+        seen.append(gc.isenabled())
+        return load(text)
+
+    monkeypatch.setattr(gm, "_load_json", recorded)
+    assert gc.isenabled()
+    assert parse_graph(escaped) == parse_graph(text)
+    assert seen == [False] and gc.isenabled()
