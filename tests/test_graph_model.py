@@ -1189,7 +1189,7 @@ def test_byte_reader_reads_every_generated_file(kernel_corpus, monkeypatch):
     # read by the byte reader itself, in the canonical and in json.dumps's
     # default whitespace, and gives json.loads's graph: its arrays, its
     # key column, and the same OtArrays after classification.
-    np = pytest.importorskip("numpy")
+    pytest.importorskip("numpy")
     draws = (GenProfile(700, 900, polygon_bias=b, seed=13) for b in (0, 0.5, 1))
     small = (GenProfile(1 + i % 7, 1 + i % 5, (i % 5) / 4, seed=i) for i in range(40))
     instances = [*kernel_corpus, *map(random_ot, draws), *map(random_ot, small)]
