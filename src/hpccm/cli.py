@@ -22,16 +22,17 @@ from . import oracle_gen as og
 from . import solver as sv
 
 
-def _load_ot(path: str) -> gm.OTStDigraph:
+def _parse(path: str) -> gm.EmbeddedDigraph:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return gm.classify_ot(gm.parse_graph(text))
+        return gm.parse_graph(fh.read())
+
+
+def _load_ot(path: str) -> gm.OTStDigraph:
+    return gm.classify_ot(_parse(path))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    g = gm.parse_graph(text)
+    g = _parse(args.file)
     # parse_graph checked n - m + F = 2, so F - 1 = m - n + 1.
     print(f"n={g.n} m={g.m} interior-faces={g.m - g.n + 1}")
     print("st-digraph: ok")
@@ -48,8 +49,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_file(args: argparse.Namespace) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        g = gm.parse_graph(fh.read())
+    g = _parse(args.file)
     columns = (map(g.names.__getitem__, col) for col in ham.rhombus_columns(g))
     line = "rhombus median={}->{} left={} right={}\n".format
     sys.stdout.write("".join(map(line, *columns)))

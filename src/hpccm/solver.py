@@ -404,10 +404,12 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     numpy from ``NUMPY_MIN_N`` vertices on.  The edges forced to cross
     (a, b) join the open boundary arc from a to b to the rest of the cycle;
     they are counted on bracket depths (:func:`_forced_counts`), and a
-    list is right when it has as many entries, each an edge that
-    interleaves (a, b), none listed twice.  The message text is built only
-    when some list fails.  A result that passed against ``g`` is not
-    checked again.  O(m log m).
+    list holds them when it has as many distinct entries, each an edge
+    that interleaves (a, b).  One pure body, :func:`_list_faults`, checks
+    the lists and names what fails; with numpy, :func:`_lists_ok_np`
+    checks them and the pure body runs only when a list fails.  Message
+    text is built only for a list that fails.  A result that passed
+    against ``g`` is not checked again.  O(m log m).
     """
     if r.__dict__.get("_verified") is g:
         return []
@@ -449,9 +451,10 @@ def verify_solution(g: OTStDigraph, r: HpCompletionResult) -> list[str]:
     # A completion edge (a, b) whose reverse is an edge makes that edge run
     # backwards: the backward edges hold every edge joining its ends.
     forced = _forced_counts(np, g.arrays, tails, heads, back)
-    lists_ok = _lists_ok_py if np is None else _lists_ok_np
-    if not lists_ok(np, g, cols, rank, forced):
-        wrong = _list_messages(g, r, forced if np is None else forced.tolist())
+    if np is None:
+        out += _list_faults(g, r, cols, rank, forced)
+    elif not _lists_ok_np(np, g, cols, rank, forced):
+        wrong = _list_faults(g, r, c.lists(), rank.tolist(), forced.tolist())
         if not wrong:
             raise GraphError(
                 "internal", "the column check rejects a crossing list no message names"
@@ -601,14 +604,10 @@ def _has(keys: Sequence[int], k: int) -> bool:
 
 
 def _range_min_py(vals: list[int], ends: list[tuple[int, int]]) -> list:
-    """min(vals[x + 1..y - 1]) per (x, y) with x < y, None where x + 1 = y.
-    Where the ranges add up to at most 8 len(vals) values, each is read in
-    one ``min`` (a slice of a few values costs less than a step of the
-    sweep); else one sweep up the values keeps a stack of the positions
-    whose value is below every later one so far, bisected at each query's
-    x + 1 once the sweep reaches its y - 1."""
-    if sum(y - x for x, y in ends) <= 8 * len(vals):
-        return [min(vals[x + 1 : y]) if y - x > 1 else None for x, y in ends]
+    """min(vals[x + 1..y - 1]) per (x, y) with x < y, None where x + 1 = y:
+    one sweep up the values keeps a stack of the positions whose value is
+    below every later one so far, bisected at each query's x + 1 once the
+    sweep reaches its y - 1."""
     out: list = [None] * len(ends)
     at: list[int] = []
     mins: list[int] = []
@@ -645,50 +644,15 @@ def _range_min_np(np, vals, lo, hi):
     return out
 
 
-def _lists_ok_py(np, g: OTStDigraph, cols, rank, forced) -> bool:
-    """Whether every crossing list is right: as many entries as forced
-    crossings, each an edge (x, y) that interleaves its completion edge
-    (a, b) with x before a and y after b on the path, no edge listed
-    twice, and each list in separation order: by the offset from a of
-    the end on a's side of the edge, ascending, then by the other end's,
-    descending.  ``cols`` are the lists of :meth:`ResultColumns.lists`."""
-    n, keys, cyc = g.n, g.base.keys, g.arrays.cyc
-    _, tails, heads, starts, xs, ys = cols
-    if list(map(sub, starts[1:], starts)) != forced:
-        return False
-    cycle = range(n)  # interleaves on positions
-    listed: set[int] = set()
-    for a, b, i, j in zip(tails, heads, starts, starts[1:]):
-        gap, last = rank[a], -n
-        for x, y in zip(xs[i:j], ys[i:j]):
-            if x < 0 or y < 0:
-                return False
-            e = cyc[x] * n + cyc[y]
-            u, v = (x - a) % n, (y - a) % n
-            order = u * n - v if u < v else v * n - u
-            if (
-                order < last
-                or e in listed
-                or keys[bisect_right(keys, e) - 1] != e
-                or not rank[x] < gap < gap + 1 < rank[y]
-                or not interleaves(cycle, n, (a, b), (x, y))
-            ):
-                return False
-            listed.add(e)
-            last = order
-    return True
-
-
 def _lists_ok_np(np, g: OTStDigraph, cols, rank, forced) -> bool:
-    """:func:`_lists_ok_py` on arrays."""
+    """Whether :func:`_list_faults` finds nothing, on arrays: each list as
+    long as its forced crossings, of edges that interleave its completion
+    edge (a, b), none listed twice, in separation order, and each with its
+    tail before a and its head after b on the path."""
     n = g.n
     _, tails, heads, starts, xs, ys = cols
     lens = np.diff(starts)
-    if not np.array_equal(lens, forced):
-        return False
-    if len(xs) == 0:
-        return True
-    if min(xs.min(), ys.min()) < 0:
+    if not np.array_equal(lens, forced) or (np.minimum(xs, ys) < 0).any():
         return False
     own = np.repeat(np.arange(len(lens)), lens)
     a, b = tails[own], heads[own]
@@ -708,56 +672,64 @@ def _lists_ok_np(np, g: OTStDigraph, cols, rank, forced) -> bool:
     )
 
 
-def _list_messages(
-    g: OTStDigraph, r: HpCompletionResult, forced: list[int]
+def _list_faults(
+    g: OTStDigraph, r: HpCompletionResult, cols, rank, forced
 ) -> list[str]:
-    """The messages of the crossing lists, once some list has failed: per
-    list, a mismatch with the forced set (named by comparing every edge),
-    or an edge listed twice, a list out of order, crossings that would
-    close a cycle, and edges crossed by two completion edges."""
-    base, n, cyc = g.base, g.base.n, g.cycle_pos
-    rank = [0] * n
-    for i, v in enumerate(r.path):
-        rank[v] = i
+    """The messages of the crossing lists in the pairwise oracle's order,
+    empty iff all are right; ``cols`` as :meth:`ResultColumns.lists` and
+    ``rank`` per position.  A list holds its ``forced`` crossings when its
+    entries are as many distinct edges that interleave its completion edge
+    (a, b); only a list that does not is compared with every edge, on the
+    result's tuples, to name what is missing and extra.  Its edges must be
+    distinct, in separation order (by the offset from a of the end on a's
+    side, ascending, then by the other end's, descending), each with its
+    tail before a and its head after b on the path, and crossed by no
+    earlier completion edge."""
+    base, n, keys, cyc = g.base, g.n, g.base.keys, g.arrays.cyc
+    name = base.name_edge
+    _, tails, heads, starts, xs, ys = cols
+    cycle = range(n)  # interleaves on positions
     out: list[str] = []
-    seen: set[DirectedEdge] = set()
-    for ce, lst, f in zip(r.completion_edges, r.crossings, forced):
-        listed = set(lst)
-        if len(listed) != f or not all(
-            base.has_edge(e) and interleaves(cyc, n, ce, e) for e in listed
-        ):
-            forced_set = {e for e in base.pairs() if interleaves(cyc, n, ce, e)}
-            missing = forced_set - listed
-            extra = listed - forced_set
+    seen: set[int] = set()
+    for h, (a, b, i, j, f) in enumerate(zip(tails, heads, starts, starts[1:], forced)):
+        ce = cyc[a], cyc[b]
+        listed: set[int] = set()
+        late: list[str] = []
+        held, ordered, last = True, True, 0
+        for x, y in zip(xs[i:j], ys[i:j]):
+            e = cyc[x] * n + cyc[y] if x >= 0 and y >= 0 else -1
+            if keys[bisect_right(keys, e) - 1] != e or not interleaves(
+                cycle, n, (a, b), (x, y)
+            ):
+                held = False
+                break
+            u, v = (x - a) % n, (y - a) % n
+            order = u * n - v if u < v else v * n - u
+            ordered, last = ordered and last <= order, order
+            if not (rank[x] < rank[a] and rank[y] > rank[b]):
+                late.append(
+                    f"crossing of {name(divmod(e, n))} with {name(ce)} would "
+                    "create a cycle"
+                )
+            if e in seen or e in listed:
+                late.append(
+                    f"edge {name(divmod(e, n))} crossed by two completion edges"
+                )
+            listed.add(e)
+        if not held or len(listed) != f:
+            ce, given = r.completion_edges[h], set(r.crossings[h])
+            want = {e for e in base.pairs() if interleaves(g.cycle_pos, n, ce, e)}
+            missing, extra = want - given, given - want
             out.append(
-                f"completion edge {base.name_edge(ce)} crossing set mismatch"
+                f"completion edge {name(ce)} crossing set mismatch"
                 + (f"; missing {sorted(missing)}" if missing else "")
                 + (f"; extra {sorted(extra)}" if extra else "")
             )
             continue
-        if len(listed) != len(lst):
-            out.append(
-                f"completion edge {base.name_edge(ce)} crosses an edge twice"
-            )
-        # Separation order: by the end in A going on from a, then by the
-        # end in B going back from a.
-        pa = cyc[ce[0]]
-        ends = [sorted(((cyc[x] - pa) % n, (cyc[y] - pa) % n)) for x, y in lst]
-        if ends != sorted(ends, key=lambda e: (e[0], -e[1])):
-            out.append(
-                f"completion edge {base.name_edge(ce)} crossings out of "
-                f"geometric order"
-            )
-        for e in lst:
-            x, y = e
-            if not (rank[x] < rank[ce[0]] and rank[y] > rank[ce[1]]):
-                out.append(
-                    f"crossing of {base.name_edge(e)} with "
-                    f"{base.name_edge(ce)} would create a cycle"
-                )
-            if e in seen:
-                out.append(
-                    f"edge {base.name_edge(e)} crossed by two completion edges"
-                )
-            seen.add(e)
+        if j - i != f:
+            out.append(f"completion edge {name(ce)} crosses an edge twice")
+        if not ordered:
+            out.append(f"completion edge {name(ce)} crossings out of geometric order")
+        out += late
+        seen |= listed
     return out

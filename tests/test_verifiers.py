@@ -138,6 +138,19 @@ def foreign_crossing(ot, r):
     return _with_lists(r, i, (other, *r.crossings[i][1:]))
 
 
+def no_edge_crossing(entry):
+    """The corruption that puts ``entry``, which is no edge given by vertex
+    ids, first in the longest list in place of a forced edge."""
+
+    def corrupt(ot, r):
+        i = _longest(r) if r.crossings else None
+        if i is None or not r.crossings[i]:
+            return None
+        return _with_lists(r, i, (entry, *r.crossings[i][1:]))
+
+    return corrupt
+
+
 def _honest(ot, order) -> HpCompletionResult:
     """The completion along a topological order with every forced
     crossing listed in geometric order."""
@@ -370,14 +383,34 @@ def test_interleaving_pages_named(gate_instances):
 
 
 def test_list_rejected_without_message_is_internal(monkeypatch):
-    # The column check and the messages must agree: a list the check
-    # rejects and no message names would otherwise pass as valid.
+    # The numpy gate and the pure body that names the failures must agree:
+    # a list the gate rejects and no message names would otherwise pass
+    # as valid.
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
     ot = polygon_stack(3)
     bad = drop_crossing(ot, solve(ot))
-    monkeypatch.setattr(hpccm.solver, "_list_messages", lambda *args: [])
+    monkeypatch.setattr(hpccm.solver, "_list_faults", lambda *args: [])
     with pytest.raises(GraphError, match="no message names") as err:
         verify_solution(ot, bad)
     assert err.value.kind == "internal"
+
+
+@pytest.mark.parametrize("numpy_min_n", [None, 0])
+def test_crossing_entries_that_are_no_edges(monkeypatch, numpy_min_n):
+    # Such an entry has no positions in the columns, so its list fails the
+    # check and is named from the result's tuples: the entry prints as it
+    # was given, as in the pairwise oracle.
+    if numpy_min_n is not None:
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(gm, "NUMPY_MIN_N", numpy_min_n)
+    for ot in (polygon_stack(3), five_crossing_polygon()):
+        r, n = solve(ot), ot.n
+        for entry in ((n, n + 1), ("a", "b"), (-1, 2), (0, 0)):
+            bad = no_edge_crossing(entry)(ot, r)
+            new = verify_solution(ot, bad)
+            assert new == pairwise.verify_solution(ot, bad)
+            assert any(f"; extra [{entry!r}]" in m for m in new), new
 
 
 def test_verify_calls_interleaves_once_per_crossing(monkeypatch):
