@@ -166,8 +166,8 @@ class EmbeddedDigraph:
         return map(divmod, self.keys, repeat(self.n))
 
     def has_edge(self, e: object) -> bool:
-        """Whether ``e`` is an edge (u, v): one bisect of ``keys``.  Anything
-        but a pair of vertex ids is none.  O(log m)."""
+        """Whether ``e`` is an edge (u, v): one bisect of ``keys``, O(log m).
+        As in a set of int pairs, (1.0, 2) and (True, 2) are edge (1, 2)."""
         n, keys = len(self.names), self.keys
         try:
             u, v = e

@@ -4,8 +4,8 @@ Instances are built on a fixed boundary cycle (source, left chain, sink,
 reversed right chain): a random triangulation of that cycle plus a random
 interleaving of the two chains' heights determines the edge set and its
 orientation, and the clockwise rotations fall out of the cycle positions.
-Every generated graph is validated by the OT classifier before being
-returned.
+Every generated graph goes through the OT classifier, which derives its
+boundary chains and positional arrays, before being returned.
 
 The oracles deliberately avoid the solver's recurrences: minimum
 crossings are found by enumerating all entry-side vectors and counting
@@ -31,7 +31,6 @@ from .graph_model import (
     EmbeddedDigraph,
     GraphError,
     OTStDigraph,
-    OtArrays,
     VertexId,
     backend,
     classify_ot,
@@ -181,24 +180,17 @@ def _from_cycle(
     cycle: list[int],
     heights: list[int],
     chords: list[tuple[int, int]],
-    validate: bool = True,
 ) -> OTStDigraph:
     """Assemble an OT instance from its boundary cycle and chord list.
 
     ``cycle`` lists vertex ids as s, left chain, t, reversed right chain;
-    chords are id pairs, oriented by ``heights``.  The rotations and the
-    positional arrays come from the same rows: each vertex's neighbours by
-    increasing cycle offset.  With ``validate`` the graph goes through
-    :func:`classify_ot`.  Large instances are assembled with numpy.
+    chords are id pairs, oriented by ``heights``.  Each vertex's rotation
+    lists its neighbours by increasing cycle offset, and the graph goes
+    through :func:`classify_ot`, which derives the positional arrays.
+    Large instances are assembled with numpy.
     """
-    np = backend(len(names))
-    if np is None:
-        g, t_at, off, nbr, out = _slots_py(names, cycle, heights, chords, validate)
-    else:
-        g, t_at, off, nbr, out = _slots_np(np, names, cycle, heights, chords)
-    if validate:
-        return classify_ot(g)
-    return OTStDigraph(base=g, arrays=OtArrays(cycle, t_at - 1, off, nbr, out))
+    np, args = backend(len(names)), (names, cycle, heights, chords)
+    return classify_ot(_slots_py(*args) if np is None else _slots_np(np, *args))
 
 
 def _slots_py(
@@ -206,11 +198,8 @@ def _slots_py(
     cycle: list[int],
     heights: list[int],
     chords: list[tuple[int, int]],
-    validate: bool,
-) -> tuple[EmbeddedDigraph, int, array, array, Optional[bytes]]:
-    """The graph, the sink's position, and the rows by position (offsets,
-    neighbour positions and, without ``validate``, out flags), in pure
-    Python, the reference."""
+) -> EmbeddedDigraph:
+    """The graph, in pure Python, the reference."""
     n = len(names)
     t_at = max(range(n), key=lambda p: heights[cycle[p]])
     pos = [0] * n
@@ -231,32 +220,27 @@ def _slots_py(
     )
     edges: set[int] = set()  # each edge (u, v) of ids as u * n + v
     deg = [0] * n
-    # Row p lists its neighbours q by increasing offset (q - p) mod n: the
-    # slots sort by p * 2n + (q, or q + n when q < p), which also keeps q
-    # recoverable as the key mod n.
+    # Vertex u at position a lists its neighbours, at positions b, by
+    # increasing offset (b - a) mod n: the slots sort by u * 2n + (b, or
+    # b + n when b < a), which also keeps b recoverable as the key mod n.
     keys: list[int] = []
     n2 = 2 * n
     for (a, b) in all_edges:
-        e = cycle[a] * n + cycle[b]
+        u, v = cycle[a], cycle[b]
+        e = u * n + v
         if e in edges:
             continue
         edges.add(e)
-        deg[a] += 1
-        deg[b] += 1
-        keys.append(a * n2 + (b if b > a else b + n))
-        keys.append(b * n2 + (a if a > b else a + n))
+        deg[u] += 1
+        deg[v] += 1
+        keys.append(u * n2 + (b if b > a else b + n))
+        keys.append(v * n2 + (a if a > b else a + n))
     keys.sort()
-    nbr = array("i", map(n.__rmod__, keys))
+    nbr = array("i", map(cycle.__getitem__, map(n.__rmod__, keys)))
     del keys
     off = array("i", accumulate(deg, initial=0))
-    rows = (map(cycle.__getitem__, nbr[off[p] : off[p + 1]]) for p in pos)
-    vnbr = array("i", chain.from_iterable(rows))
-    voff = array("i", accumulate(map(deg.__getitem__, pos), initial=0))
     s, t, keys = cycle[0], cycle[t_at], array("q", sorted(edges))
-    g = EmbeddedDigraph._from_slots(tuple(names), s, t, keys, voff, vnbr)
-    # Row p above is the base's row of vertex cycle[p], slot for slot.
-    out = None if validate else b"".join(g.out[g.off[v] : g.off[v + 1]] for v in cycle)
-    return g, t_at, off, nbr, out
+    return EmbeddedDigraph._from_slots(tuple(names), s, t, keys, off, nbr)
 
 
 def _slots_np(
@@ -265,10 +249,9 @@ def _slots_np(
     cycle: list[int],
     heights: list[int],
     chords: list[tuple[int, int]],
-) -> tuple[EmbeddedDigraph, int, array, array, bytes]:
-    """:func:`_slots_py`'s results, out flags included, from one sort of
-    the slot keys in numpy; each key's lowest bit flags the edge's tail.
-    The base's rows are the position rows gathered into id order."""
+) -> EmbeddedDigraph:
+    """:func:`_slots_py`'s graph from one sort of the slot keys in numpy;
+    each key's lowest bit flags the edge's tail."""
     n, n2 = len(names), 2 * len(names)
     cyc = np.array(cycle, dtype=np.int64)
     pos = np.empty(n, dtype=np.int64)
@@ -280,41 +263,28 @@ def _slots_np(
     t_at = int(np.argmax(height[cyc]))
     a = np.concatenate(([0], pos[np.where(up, x, y)]))
     b = np.concatenate(([n - 1], pos[np.where(up, y, x)]))
-    del ends, x, y, up, height
+    del ends, x, y, up, height, pos
     keep = np.abs(a - b) != 1
     a = np.concatenate((np.arange(t_at), np.arange(t_at + 1, n), a[keep]))
     b = np.concatenate((np.arange(1, t_at + 1), np.arange(t_at, n - 1), b[keep]))
     key = np.concatenate((
-        (a * n2 + np.where(b > a, b, b + n)) * 2 + 1,
-        (b * n2 + np.where(a > b, a, a + n)) * 2,
+        (cyc[a] * n2 + np.where(b > a, b, b + n)) * 2 + 1,
+        (cyc[b] * n2 + np.where(a > b, a, a + n)) * 2,
     ))
     del a, b, keep
     key.sort()
     key = key[np.concatenate(([True], key[1:] != key[:-1]))]  # each edge once
     out = (key & 1).astype(np.bool_)
     key >>= 1
-    row, nbr = key // n2, key % n
-    del key
-    deg = np.bincount(row, minlength=n)
+    row, nbr = key // n2, cyc[key % n]
+    del key, cyc
     off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=off[1:])
-    edges = array("q", np.sort(cyc[row[out]] * n + cyc[nbr[out]]).tobytes())
-    del row
-    # Vertex v's row is position pos[v]'s, relabelled to ids.
-    vdeg = deg[pos]
-    voff = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(vdeg, out=voff[1:])
-    src = np.repeat(off[:-1][pos] - voff[:-1], vdeg) + np.arange(len(nbr))
-    vnbr = cyc[nbr[src]]
-    del src, vdeg, deg, pos, cyc
-
-    def ints(a) -> array:
-        return array("i", a.astype(np.intc).tobytes())
-
-    off, nbr, voff, vnbr = map(ints, (off, nbr, voff, vnbr))
+    np.cumsum(np.bincount(row, minlength=n), out=off[1:])
+    edges = array("q", np.sort(row[out] * n + nbr[out]).tobytes())
+    del row, out
+    off, nbr = (array("i", a.astype(np.intc).tobytes()) for a in (off, nbr))
     s, t = cycle[0], cycle[t_at]
-    g = EmbeddedDigraph._from_slots(tuple(names), s, t, edges, voff, vnbr)
-    return g, t_at, off, nbr, out.tobytes()
+    return EmbeddedDigraph._from_slots(tuple(names), s, t, edges, off, nbr)
 
 
 def triangle() -> OTStDigraph:
@@ -370,7 +340,7 @@ def five_crossing_polygon() -> OTStDigraph:
     return _from_cycle(names=names, cycle=cycle, heights=heights, chords=chords)
 
 
-def polygon_stack(count: int, validate: bool = True) -> OTStDigraph:
+def polygon_stack(count: int) -> OTStDigraph:
     """Chain of ``count`` stacked st-polygons, consecutive ones sharing a
     limiting edge; n = 2*count + 2 vertices."""
     if count < 1:
@@ -391,9 +361,7 @@ def polygon_stack(count: int, validate: bool = True) -> OTStDigraph:
         chords += [(r[i], l[i + 1]) for i in range(1, k)]
         chords += [(r[i], l[i + 2]) for i in range(1, k - 1)]
         chords += [(r[k - 1], t)]
-    return _from_cycle(
-        names=names, cycle=cycle, heights=heights, chords=chords, validate=validate
-    )
+    return _from_cycle(names=names, cycle=cycle, heights=heights, chords=chords)
 
 
 # ---------------------------------------------------------------------------

@@ -717,13 +717,19 @@ def _list_faults(
                 )
             listed.add(e)
         if not held or len(listed) != f:
-            ce, given = r.completion_edges[h], set(r.crossings[h])
+            ce, given = r.completion_edges[h], r.crossings[h]
             want = {e for e in base.pairs() if interleaves(g.cycle_pos, n, ce, e)}
-            missing, extra = want - given, given - want
+            missing, extra = want - set(given), set(given) - want
+            # An entry such as (1.0, 2) equals an edge but names no vertex.
+            odd = [
+                e for e, x, y in zip(given, xs[i:j], ys[i:j])
+                if min(x, y) < 0 and e not in extra
+            ]
             out.append(
                 f"completion edge {name(ce)} crossing set mismatch"
                 + (f"; missing {sorted(missing)}" if missing else "")
                 + (f"; extra {sorted(extra)}" if extra else "")
+                + (f"; not pairs of vertex ids {odd}" if odd else "")
             )
             continue
         if j - i != f:

@@ -197,7 +197,7 @@ def test_criterion_8_linear_time():
         sizes = (10_000, 100_000, 1_000_000)
         times = []
         for size in sizes:
-            ot = polygon_stack((size - 2) // 2, validate=False)
+            ot = polygon_stack((size - 2) // 2)
             t0 = time.perf_counter()
             d = decompose(ot)
             costs = all_costs(d)

@@ -122,14 +122,6 @@ def test_backend_chosen_by_size():
     assert decompose(polygon_stack(gm.NUMPY_MIN_N)).layout.np is np
 
 
-def test_arrays_same_from_rotation_and_from_cycle():
-    for k in (1, 2, 5, 40):
-        built = polygon_stack(k, validate=False).arrays
-        classified = polygon_stack(k).arrays
-        for name in ("n", "k", "cyc", "off", "nbr", "out", "rank"):
-            assert getattr(built, name) == getattr(classified, name), name
-
-
 def test_arrays_same_for_any_row_start(corpus):
     # Rotations are cyclic: a base whose rows start anywhere (the source's
     # still at its leftmost edge) relabels to the same positional arrays.

@@ -899,7 +899,7 @@ def test_numpy_load_matches_pure(kernel_corpus, monkeypatch):
     instances = [*kernel_corpus, *map(random_ot, draws)]
     texts = [serialize_graph(ot.base) for ot in instances]
     pure = [classify_ot(parse_graph(text)) for text in texts]
-    stacks = [polygon_stack(k, validate=False) for k in range(1, 9)]
+    stacks = [polygon_stack(k) for k in range(1, 9)]
     for text, ref in zip(texts, pure):
         data = json.loads(text)
         ids = ref.base.id_of
@@ -972,7 +972,7 @@ def test_large_file_solves_without_numpy():
         "    raise AssertionError('the file-order reader ran')\n"
         "gm._read_py = fail\n"
         "k = gm.NUMPY_MIN_N // 2\n"
-        "text = serialize_graph(polygon_stack(k, validate=False).base)\n"
+        "text = serialize_graph(polygon_stack(k).base)\n"
         "ot = classify_ot(parse_graph(text))\n"
         "assert ot.n >= gm.NUMPY_MIN_N\n"
         "r = solve(ot)\n"
@@ -996,7 +996,7 @@ def test_small_instances_leave_numpy_unimported():
         "from hpccm import classify_ot, parse_graph, polygon_stack, "
         "serialize_graph, solve, to_book_embedding\n"
         "from hpccm.graph_model import NUMPY_MIN_N\n"
-        "ot = polygon_stack(NUMPY_MIN_N // 2 - 2, validate=False)\n"
+        "ot = polygon_stack(NUMPY_MIN_N // 2 - 2)\n"
         "text = serialize_graph(ot.base)\n"
         "ot = classify_ot(parse_graph(text))\n"
         "assert ot.n == NUMPY_MIN_N - 2\n"

@@ -127,13 +127,6 @@ def test_polygon_stack_structure():
             assert exhaustive_min_crossings(ot) == count
 
 
-def test_polygon_stack_matches_validated_build():
-    # validate=False must construct exactly what the classifier derives.
-    fast = polygon_stack(5, validate=False)
-    checked = classify_ot(fast.base)
-    assert checked.left == fast.left and checked.right == fast.right
-
-
 def test_five_crossing_polygon_costs(f9):
     from hpccm import all_costs
 
@@ -159,21 +152,18 @@ def test_generator_reaches_five_crossing_shape():
 def test_crossing_chords_rejected():
     # Two crossing chords of a pentagon give m = 2n - 3 edges, as many as
     # a triangulation has, but the rotations then trace no triangles.
-    from hpccm import GraphError
-    from hpccm.oracle_gen import _from_cycle
-
     shape = dict(
         names=["s", "a", "b", "t", "c"],
         cycle=[0, 1, 2, 3, 4],
         heights=[0, 1, 2, 4, 3],
         chords=[(0, 2), (1, 3)],
     )
-    unchecked = _from_cycle(**shape, validate=False)
-    assert unchecked.base.m == 2 * unchecked.n - 3
+    unchecked = og._slots_py(**shape)
+    assert unchecked.m == 2 * unchecked.n - 3
     with pytest.raises(GraphError):
-        _from_cycle(**shape)
+        og._from_cycle(**shape)
     with pytest.raises(GraphError):
-        classify_ot(unchecked.base)
+        classify_ot(unchecked)
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +181,14 @@ CROSSING_CHORDS = (
 
 def test_numpy_builder_matches_pure(kernel_profiles, monkeypatch):
     # Every instance the builders and the kernel corpus's draws make goes
-    # through _from_cycle; with the threshold at 0 numpy builds it, with
-    # and without validation, and must give the pure path's graph and
-    # arrays, or its error.
+    # through _from_cycle; with the threshold at 0 numpy builds it and
+    # must give the pure path's graph and arrays, or its error.
     pytest.importorskip("numpy")
     inputs, build = [CROSSING_CHORDS], og._from_cycle
 
-    def recorded(names, cycle, heights, chords, validate=True):
+    def recorded(names, cycle, heights, chords):
         inputs.append((names, cycle, heights, chords))
-        return build(names, cycle, heights, chords, validate)
+        return build(names, cycle, heights, chords)
 
     monkeypatch.setattr(og, "_from_cycle", recorded)
     for make in (triangle, rhombus, five_crossing_polygon, make_pfp, fan_polygon):
@@ -210,13 +199,13 @@ def test_numpy_builder_matches_pure(kernel_profiles, monkeypatch):
         random_ot(prof)
     monkeypatch.undo()
 
-    def built(args, validate):
+    def built(args):
         try:
-            return build(*args, validate=validate)
+            return build(*args)
         except GraphError as exc:
             return exc.kind, str(exc)
 
-    pure = [built(args, v) for args in inputs for v in (True, False)]
+    pure = [built(args) for args in inputs]
     monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
     for module, name in ((og, "_slots_py"), (gm, "_rank_py")):
         monkeypatch.setattr(module, name, _pure_path_fails)
@@ -230,7 +219,7 @@ def test_numpy_builder_matches_pure(kernel_profiles, monkeypatch):
     assert len(inputs) == 1 + 5 + 8 + len(kernel_profiles)
     assert isinstance(pure[0], tuple) and not isinstance(pure[1], tuple)
     for i, ref in enumerate(pure):
-        ot = built(inputs[i // 2], validate=i % 2 == 0)
+        ot = built(inputs[i])
         if isinstance(ref, tuple):
             assert ot == ref
             continue
@@ -256,7 +245,7 @@ def test_numpy_builder_shares_the_ids(monkeypatch):
     pytest.importorskip("numpy")
     monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
     monkeypatch.setattr(og, "_slots_py", _pure_path_fails)
-    g = polygon_stack(300, validate=False).base
+    g = polygon_stack(300).base
     assert len({id(v) for e in g.edges for v in e}) == g.n == 602
 
 

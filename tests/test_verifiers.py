@@ -411,6 +411,16 @@ def test_crossing_entries_that_are_no_edges(monkeypatch, numpy_min_n):
             new = verify_solution(ot, bad)
             assert new == pairwise.verify_solution(ot, bad)
             assert any(f"; extra [{entry!r}]" in m for m in new), new
+        # A float vertex equals the edge it replaces, so the entry is
+        # neither missing nor extra; the message names it on its own.
+        (x, y) = r.crossings[_longest(r)][0]
+        entry = (float(x), y)
+        new = verify_solution(ot, no_edge_crossing(entry)(ot, r))
+        name = ot.base.name_edge(r.completion_edges[_longest(r)])
+        assert new == [
+            f"completion edge {name} crossing set mismatch; "
+            f"not pairs of vertex ids [{entry!r}]"
+        ]
 
 
 def test_verify_calls_interleaves_once_per_crossing(monkeypatch):
