@@ -23,7 +23,8 @@ from . import solver as sv
 
 
 def _parse(path: str) -> gm.EmbeddedDigraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    # parse_graph decodes the bytes as text mode would, where it must.
+    with open(path, "rb") as fh:
         return gm.parse_graph(fh.read())
 
 

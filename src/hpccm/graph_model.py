@@ -263,36 +263,38 @@ def _pair_py(names: tuple[str, ...], keys: array, off: array, nbr: array):
 
 
 def _pair_np(np, n: int, keys: array, off: array, nbr: array):
-    """What :func:`_pair_py` returns, from sorted dart keys, or None where
-    it would raise: each dart's twin is found by ``searchsorted`` of its
-    reverse key, and its out flag by the same lookup among edge keys."""
+    """What :func:`_pair_py` returns, or None where it would raise and
+    where an edge is given with its reverse.  One sort of the slots by
+    their undirected key min * n + max puts each two twins side by side,
+    and one sort of the edges by theirs names the out slot of each pair."""
     m, slots = len(keys), len(nbr)
-    if len(off) != n + 1 or not slots or not m:
+    if len(off) != n + 1 or not m or slots != 2 * m:
         return None
     head = np.frombuffer(nbr, dtype=np.intc)
     if head.min() < 0 or head.max() >= n:
         return None
     tail = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
-    key = tail * n + head
-    order = np.argsort(key)
-    sorted_key = key[order]
-    if (sorted_key[1:] == sorted_key[:-1]).any():
+    key = np.minimum(tail, head) * n + np.maximum(tail, head)
+    a, b = np.argsort(key).reshape(m, 2).T
+    # Pair j must be a dart and its reverse (equal undirected keys, two
+    # tails) of the edge with the j-th undirected key, no key twice.
+    u, v = np.divmod(np.frombuffer(keys, dtype=np.int64), n)
+    edge = np.minimum(u, v) * n + np.maximum(u, v)
+    by = np.argsort(edge)
+    edge = edge[by]
+    if (
+        (edge[1:] == edge[:-1]).any()
+        or (key[a] != edge).any()
+        or (key[b] != edge).any()
+        or (tail[a] == tail[b]).any()
+    ):
         return None
-    reverse = head * np.int64(n) + tail
-    del tail
-    at = np.searchsorted(sorted_key, reverse)
-    np.minimum(at, slots - 1, out=at)
-    if (sorted_key[at] != reverse).any():
-        return None
-    del sorted_key, reverse
-    twin = order[at].astype(np.intc)
-    del order, at
-    edge_key = np.frombuffer(keys, dtype=np.int64)
-    at = np.searchsorted(edge_key, key)
-    np.minimum(at, m - 1, out=at)
-    out = edge_key[at] == key
-    if np.count_nonzero(out) != m or not (out | out[twin]).all():
-        return None
+    del key, edge, v
+    first = tail[a] == u[by]  # the pair's first slot is the edge's
+    out = np.empty(slots, dtype=np.bool_)
+    out[a], out[b] = first, ~first
+    twin = np.empty(slots, dtype=np.intc)
+    twin[a], twin[b] = b, a
     return out.tobytes(), array("i", twin.tobytes())
 
 
@@ -794,7 +796,7 @@ def _validate_py(g: EmbeddedDigraph) -> None:
 _FORMAT_KEYS = ("vertices", "source", "sink", "edges", "rotation")
 
 
-def parse_graph(text: str) -> EmbeddedDigraph:
+def parse_graph(text: str | bytes) -> EmbeddedDigraph:
     """Parse the JSON graph format and check all invariants.
 
     Format: object with keys vertices (list of names), source, sink,
@@ -804,7 +806,10 @@ def parse_graph(text: str) -> EmbeddedDigraph:
 
     At numpy sizes a text in :func:`serialize_graph`'s layout, whitespace
     aside, is read straight from its bytes (:func:`_read_bytes`); any other
-    text, and every text below that size, through ``json.loads``.
+    text, and every text below that size, through ``json.loads``.  Bytes
+    are read as ``open(path)`` reads a file in text mode: the byte reader
+    takes them as they are, and ``json.loads`` gets them decoded as UTF-8
+    with universal newlines, so a file names the same errors either way.
     """
     # At numpy sizes the load builds no reference cycles, so reference
     # counting frees all it drops; the cyclic collector would only traverse
@@ -818,7 +823,7 @@ def parse_graph(text: str) -> EmbeddedDigraph:
     try:
         g = None if np is None else _read_bytes(np, text)
         if g is None:
-            data, names = _load_json(text)
+            data, names = _load_json(_decoded(text))
             if backend(len(names)) is not None:
                 gc.disable()
             ids = {name: i for i, name in enumerate(names)}
@@ -830,11 +835,23 @@ def parse_graph(text: str) -> EmbeddedDigraph:
     return g
 
 
-def _vertex_count(text: str) -> int:
+def _vertex_count(text: str | bytes) -> int:
     """n for a text in :func:`serialize_graph`'s layout, found at C speed:
     its quotes before the first ``]`` are those of the key "vertices" and of
     the n names."""
-    return text.count('"', 0, text.find("]")) // 2 - 1
+    quote, close = ('"', "]") if isinstance(text, str) else (b'"', b"]")
+    return text.count(quote, 0, text.find(close)) // 2 - 1
+
+
+def _decoded(text: str | bytes) -> str:
+    """``text``, its bytes decoded as in text mode: UTF-8, with "\\r\\n"
+    and "\\r" read as "\\n"."""
+    if isinstance(text, str):
+        return text
+    text = text.decode("utf-8")
+    if "\r" not in text:  # replace("\r\n", ...) is slow even with no match
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_json(text: str) -> tuple[dict, list[str]]:
@@ -877,7 +894,7 @@ _COMMA, _LIST, _LIST_END, _COLON, _EDGES, _EDGE, _EDGES_END, _ROTATION = (
 _KEY_WORDS = [int.from_bytes(key.encode(), "big") for key in _FORMAT_KEYS]
 
 
-def _read_bytes(np, text: str):
+def _read_bytes(np, text: str | bytes):
     """:func:`_read_bulk`'s graph of a text in :func:`serialize_graph`'s
     layout, whitespace aside, read from its bytes with numpy; None for any
     other text, and where :func:`_read_bulk` would return None.
@@ -889,9 +906,10 @@ def _read_bytes(np, text: str):
     JSON that ``json.loads`` reads as this graph exactly when the skeleton
     matches the format, with each separator read as one number.
     """
-    if not text.isascii() or "\\" in text:
+    is_ascii = text.isascii()
+    raw = text.encode("ascii") if is_ascii and isinstance(text, str) else text
+    if not is_ascii or b"\\" in raw:
         return None
-    raw = text.encode("ascii")
     quote = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == 34)
     if len(quote) < 4 or len(quote) % 2:
         return None
@@ -952,19 +970,15 @@ def _read_bytes(np, text: str):
     vertex = word[1 : n + 1]
     if (word[r + at] != vertex).any():
         return None  # the rows out of vertex order
-    order = np.argsort(vertex)
-    ordered = vertex[order]
-    if (ordered[1:] == ordered[:-1]).any():
-        return None  # a vertex listed twice
     del code, key
-
-    def ids(words):
-        i = np.searchsorted(ordered, words)
-        np.minimum(i, n - 1, out=i)
-        return None if (ordered[i] != words).any() else order[i]
-
-    st, ends = ids(word[[n + 2, n + 4]]), ids(word[e + 1 : end + 1])
-    head = ids(np.delete(word[r:], at))
+    # None: a vertex listed twice, or names that collide too often.
+    table = _name_table(np, vertex)
+    if table is None:
+        return None
+    st, ends, head = (
+        _name_ids(np, table, vertex, words)
+        for words in (word[[n + 2, n + 4]], word[e + 1 : end + 1], np.delete(word[r:], at))
+    )
     if st is None or ends is None or head is None:
         return None
     # The vertex list, its whitespace and quotes removed, is the names
@@ -972,8 +986,8 @@ def _read_bytes(np, text: str):
     listed = raw[raw.find(b"[") + 1 : raw.find(b"]")].translate(None, b' \t\n\r"')
     names = tuple(listed.decode("ascii").split(","))
     off = array("i", np.append(at - np.arange(n), len(head)).astype(np.intc).tobytes())
-    nbr = array("i", head.astype(np.intc).tobytes())
-    return _from_ids(names, *st.tolist(), ends, off, nbr)
+    nbr = array("i", head.tobytes())
+    return _from_ids(names, *st.tolist(), ends.astype(np.int64), off, nbr)
 
 
 def _words(np, buf: bytes, ends, sizes, width: int):
@@ -983,6 +997,70 @@ def _words(np, buf: bytes, ends, sizes, width: int):
     view = np.ndarray((len(buf) - width + 1,), f">u{width}", buf, strides=(1,))
     mask = np.array([(1 << 8 * k) - 1 for k in range(width + 1)], f"u{width}")
     return view[ends - width] & mask[sizes]
+
+
+# The name map is an open-addressing table with linear probing.  A word's
+# first slot is the top bits of word * _HASH mod 2^64 (Fibonacci hashing).
+# A word not placed or found within _PROBES slots makes the reader decline,
+# so names crafted to collide cost O(n) before json.loads reads the text.
+# At n = 10^6 the most slots any word took were 14 for polygon_stack's
+# names and 21 for random words.
+_HASH = 0x9E3779B97F4A7C15
+_PROBES = 64
+
+
+def _first_slots(np, words, size: int):
+    """The top log2(size) bits of each word * ``_HASH`` mod 2^64."""
+    slot = words * np.uint64(_HASH)
+    slot >>= np.uint64(65 - size.bit_length())
+    return slot.view(np.intp)
+
+
+def _name_table(np, vertex):
+    """A table of at least 4n slots, a power of two, holding each vertex
+    id at the first free slot from its word's on, the others -1; None when
+    a word is listed twice or not placed within ``_PROBES`` rounds.  Each
+    round places one of the ids that want each free slot and moves the
+    rest on by one slot; two ids of one word always want the same slot."""
+    size = 4 << (len(vertex) - 1).bit_length()
+    table = np.full(size, -1, dtype=np.intc)
+    todo = np.arange(len(vertex), dtype=np.intc)
+    slot = _first_slots(np, vertex, size)
+    for _ in range(_PROBES):
+        free = table[slot] < 0
+        table[slot[free]] = todo[free]
+        held = table[slot]
+        left = held != todo
+        todo, held = todo[left], held[left]
+        if (vertex[held] == vertex[todo]).any():
+            return None
+        if not len(todo):
+            return table
+        slot = (slot[left] + 1) & (size - 1)
+    return None
+
+
+def _name_ids(np, table, vertex, words):
+    """The vertex ids of ``words`` in :func:`_name_table`'s ``table``;
+    None when a word is no vertex's (its probe meets a free slot) or is not
+    found within ``_PROBES`` slots, the bound it was placed within."""
+    mask = len(table) - 1
+    slot = _first_slots(np, words, len(table))
+    ids = table[slot]
+    # A free slot (-1) reads vertex[-1], a word no probe can meet at a free
+    # slot: its own probe passes only slots taken when it was placed.
+    todo = np.flatnonzero(vertex[ids] != words)
+    slot, words, held = slot[todo], words[todo], ids[todo]
+    for _ in range(_PROBES):
+        if not len(todo):
+            return ids
+        if (held < 0).any():
+            return None
+        slot = (slot + 1) & mask
+        held = ids[todo] = table[slot]
+        miss = vertex[held] != words
+        todo, slot, words, held = todo[miss], slot[miss], words[miss], held[miss]
+    return None
 
 
 def _read_bulk(data: dict, names: list[str], ids: dict[str, int]):

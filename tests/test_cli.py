@@ -12,6 +12,7 @@ import pytest
 import hpccm
 from hpccm import rhombus, serialize_graph, triangle, five_crossing_polygon
 from hpccm import cli
+from hpccm import graph_model as gm
 from hpccm.cli import _parser, run
 
 SRC = str(Path(hpccm.__file__).resolve().parents[1])
@@ -188,6 +189,62 @@ def test_invalid_graph_exit_code(tmp_path, capsys):
     )
     assert run(["solve", str(path)]) == 1
     assert "multi-sink" in capsys.readouterr().err
+
+
+def _text_mode_outcome(path: str):
+    """The exit code and stderr of a command that reads ``path`` in text
+    mode: UTF-8 with universal newlines."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            gm.parse_graph(fh.read())
+    except gm.GraphError as exc:
+        return 1, f"error [{exc.kind}]: {exc}\n"
+    except ValueError as exc:
+        return 1, f"error: {exc}\n"
+    return 0, ""
+
+
+# Edits of the triangle's file, each with the exit code and stderr of
+# `hpccm solve` on it.
+ENCODING_CASES = {
+    "undecodable byte": (
+        lambda text: text.encode().replace(b'"v"', b'"v\xff"', 1),
+        1, "error: 'utf-8' codec can't decode byte 0xff in position 33: invalid start byte\n",
+    ),
+    "UTF-8 BOM": (
+        lambda text: b"\xef\xbb\xbf" + text.encode(),
+        1, "error [syntax]: line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n",
+    ),
+    "lone CR, syntax error": (
+        lambda text: text.replace('"s",', '"s"', 1).replace("\n", "\r").encode(),
+        1, "error [syntax]: line 4 column 5: Expecting ',' delimiter\n",
+    ),
+    "CRLF, syntax error": (
+        lambda text: text.replace('"s",', '"s"', 1).replace("\n", "\r\n").encode(),
+        1, "error [syntax]: line 4 column 5: Expecting ',' delimiter\n",
+    ),
+    "lone CR": (lambda text: text.replace("\n", "\r").encode(), 0, ""),
+}
+
+
+@pytest.mark.parametrize("threshold", [None, 0])
+@pytest.mark.parametrize("case", ENCODING_CASES)
+def test_file_bytes_read_as_in_text_mode(case, threshold, tmp_path, capsys, monkeypatch):
+    # The CLI reads a file as bytes; the byte reader takes them as they
+    # are (at 0 it runs on this small file), and every other route decodes
+    # them as text mode did, so exit codes and errors stay the same.
+    # json.loads(bytes) would skip the BOM instead.
+    if threshold is not None:
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(gm, "NUMPY_MIN_N", threshold)
+    edit, code, err = ENCODING_CASES[case]
+    path = tmp_path / "g.json"
+    path.write_bytes(edit(serialize_graph(triangle().base)))
+    assert run(["solve", str(path)]) == code
+    got = capsys.readouterr()
+    assert got.err == err
+    assert got.out == ("" if code else "crossings=0\npath=s,v,t\n")
+    assert _text_mode_outcome(str(path)) == (code, err)
 
 
 def test_stdout_byte_stable(rhombus_file, capsys):

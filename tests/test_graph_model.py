@@ -5,7 +5,10 @@ import os
 import random
 import subprocess
 import sys
+from array import array
+from collections import Counter
 from dataclasses import fields, replace
+from itertools import accumulate, chain
 from pathlib import Path
 
 import pytest
@@ -943,6 +946,84 @@ def test_numpy_load_names_the_same_errors(corpus, monkeypatch):
     assert _sweep(corpus)[1] == SWEEP_DIGEST
 
 
+def _pairing(g: EmbeddedDigraph, rng) -> dict:
+    """The slots (n, keys, off, nbr) of ``g`` as given and after each named
+    edit of its rows and keys, around a random dart v -> w."""
+    n = g.n
+    rows = [list(g.nbr[g.off[v] : g.off[v + 1]]) for v in range(n)]
+    v, x = rng.sample(range(n), 2)
+    w = rng.choice(rows[v])
+    both = (v * n + w, w * n + v)  # the edge between v and w, both ways
+
+    def slots(edit=None, extra=()):
+        edited = [row[:] for row in rows]
+        if edit is not None:
+            edit(edited)
+        off = array("i", accumulate(map(len, edited), initial=0))
+        keys = array("q", sorted({*g.keys, *extra}))
+        return n, keys, off, array("i", chain.from_iterable(edited))
+
+    def swap(r):
+        i = rng.randrange(len(r[v]))
+        j = rng.choice([j for j, y in enumerate(r[x]) if y != r[v][i]])
+        r[v][i], r[x][j] = r[x][j], r[v][i]
+
+    def loop(r):
+        r[v][r[v].index(w)] = v
+
+    def moved(r):  # the reverse dart becomes a second v -> w
+        r[w].remove(v)
+        r[v].append(w)
+
+    def twice(r):
+        r[v].append(w)
+        r[w].append(v)
+
+    return {
+        "as given": slots(),
+        "row shuffled": slots(lambda r: rng.shuffle(r[v])),
+        "swap": slots(swap),
+        "reverse dart dropped": slots(lambda r: r[v].remove(w)),
+        "self-loop": slots(loop),
+        "self-loop edge": slots(loop, [v * n + v]),
+        "self-loop added": slots(lambda r: r[v].append(v), [v * n + v]),
+        "reverse dart in the dart's row": slots(moved),
+        "edge with its reverse": slots(extra=both),
+        "edge with its reverse, darts twice": slots(twice, both),
+    }
+
+
+def test_numpy_pairing_gives_the_pure_pairing_or_declines(kernel_corpus, monkeypatch):
+    # One sort of the slots by undirected key pairs the twins; on every
+    # valid row set it must give _pair_py's out flags and twins, and on
+    # edited rows _pair_py's pair or None, never another pair.
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    draws = [GenProfile(1 + 7 * i % 40, 1 + 11 * i % 30, (i % 5) / 4, seed=70 + i) for i in range(30)]
+    draws += [GenProfile(300, 400, b, seed=71) for b in (0, 0.5, 1)]
+    graphs = [ot.base for ot in (*kernel_corpus, *map(random_ot, draws))]
+    rng = random.Random(19)
+    paired = Counter()
+    for g in graphs:
+        for name, (n, keys, off, nbr) in _pairing(g, rng).items():
+            try:
+                ref = gm._pair_py(g.names, keys, off, nbr)
+            except GraphError as exc:
+                ref = (exc.kind, str(exc))
+            got = gm._pair_np(np, n, keys, off, nbr)
+            assert got is None or got == ref, name
+            paired[name, got is None, isinstance(ref, tuple) and isinstance(ref[0], str)] += 1
+            if name in ("as given", "row shuffled"):
+                assert got == ref
+            if name == "as given":
+                assert got == (g.out, g.twin)
+    # _pair_py pairs an edge with its reverse and an added self-loop; the
+    # numpy pairing declines them.  Every other edit is an error.
+    accepted = {"as given", "row shuffled", "edge with its reverse", "self-loop added"}
+    assert {name for name, _, error in paired if not error} == accepted
+    assert all(paired[name, True, True] for name, *_ in paired if name not in accepted)
+
+
 def test_bulk_reader_reads_every_valid_file(kernel_corpus, monkeypatch):
     # The bulk reader serves every size; the file-order reader only runs,
     # after it declines, to name an error.
@@ -1347,3 +1428,39 @@ def test_declined_large_file_loads_with_the_collector_paused(monkeypatch):
     assert gc.isenabled()
     assert parse_graph(escaped) == parse_graph(text)
     assert seen == [False] and gc.isenabled()
+
+
+def test_colliding_names_decline_within_the_probe_bound(monkeypatch):
+    # With the hash multiplier at 0 every word's first slot is slot 0: the
+    # k-th word is placed in round k and found by k probes.  Up to _PROBES
+    # words still map; one more makes the name map decline, and
+    # parse_graph then reads json.loads's graph.
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    small = serialize_graph(polygon_stack(8).base)  # n = 18
+    large = serialize_graph(polygon_stack(gm._PROBES // 2).base)  # n = _PROBES + 2
+    ref = parse_graph(large)
+    monkeypatch.setattr(gm, "_HASH", 0)
+    words = np.arange(1, gm._PROBES + 2, dtype=np.uint64)
+    table = gm._name_table(np, words[:-1])
+    assert sorted(table[: gm._PROBES]) == list(range(gm._PROBES))
+    assert (table[gm._PROBES :] == -1).all()
+    ids = gm._name_ids(np, table, words[:-1], words[-2::-1])
+    assert ids.tolist() == list(reversed(range(gm._PROBES)))
+    assert gm._name_ids(np, table, words[:-1], words[-1:]) is None
+    assert gm._name_table(np, words) is None
+    for dup in (words[:3], words[:40]):
+        assert gm._name_table(np, np.append(dup, dup[1])) is None
+    assert _declined_or_same(np, small)
+    assert gm._read_bytes(np, large) is None
+    seen, load = [], gm._load_json
+
+    def recorded(text):
+        seen.append(len(text))
+        return load(text)
+
+    monkeypatch.setattr(gm, "_load_json", recorded)
+    g = parse_graph(large)
+    assert seen == [len(large)] and g == ref
+    for name in ("names", "s", "t", "keys", "off", "nbr", "out", "twin"):
+        assert getattr(g, name) == getattr(ref, name), name

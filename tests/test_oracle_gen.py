@@ -239,14 +239,25 @@ def test_numpy_builder_matches_pure(kernel_profiles, monkeypatch):
     assert named == [("_cycle_py", names), ("_arrays_py", names)]
 
 
-def test_numpy_builder_shares_the_ids(monkeypatch):
-    # The edge tuples hold the cycle's own int objects, one per vertex, not
-    # a fresh int per edge end.
+def test_numpy_builder_gives_the_pure_slots(monkeypatch):
+    # What _slots_np itself returns, before classification: the key column
+    # and the rows of _slots_py, on a stack and on draws of every bias.
     pytest.importorskip("numpy")
     monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
-    monkeypatch.setattr(og, "_slots_py", _pure_path_fails)
-    g = polygon_stack(300).base
-    assert len({id(v) for e in g.edges for v in e}) == g.n == 602
+    built, slots_np = [], og._slots_np
+
+    def compared(np, *args):
+        g, ref = slots_np(np, *args), og._slots_py(*args)
+        for name in ("keys", "off", "nbr"):
+            assert getattr(g, name) == getattr(ref, name), (len(built), name)
+        built.append(g.n)
+        return g
+
+    monkeypatch.setattr(og, "_slots_np", compared)
+    polygon_stack(300)
+    for i in range(20):
+        random_ot(GenProfile(1 + 7 * i % 40, 1 + 11 * i % 30, (i % 5) / 4, seed=40 + i))
+    assert len(built) == 21 and built[0] == 602
 
 
 # sha256 of the files the generators write, as the pure-Python builder and
