@@ -35,16 +35,19 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, eq, mul, or_, sub
+from operator import add, eq, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 VertexId = int
 DirectedEdge = tuple[VertexId, VertexId]
 Dart = tuple[VertexId, VertexId]
 
-# The pure-Python kernel costs up to ~4.5 us per vertex (on polygon
-# stacks, its slowest family) and importing numpy ~60 ms: from this many
-# vertices on, the numpy kernel repays its import on a single instance.
+# From this many vertices on, numpy repays its import on a single
+# instance.  Importing it takes 0.125-0.139 s (-X importtime).  The pure
+# load, parse_graph and classify_ot, costs 9-12 us per vertex and the numpy
+# one 2.5-3.3 us, so the load alone repays the import from about 16 000 to
+# 19 000 vertices on; the kernel, up to ~4.5 us per vertex in pure Python
+# (on polygon stacks, its slowest family), adds its own saving to that.
 NUMPY_MIN_N = 15_000
 
 
@@ -241,6 +244,9 @@ def _check_rows(names: tuple[str, ...], edges: Iterable, off: array, nbr: array)
         raise GraphError("schema", message)
 
 
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # out flags to in flags
+
+
 def _pair_py(names: tuple[str, ...], keys: array, off: array, nbr: array):
     """Out flags and twin slots of the rows; raises ``schema`` (see
     :func:`_check_rows`) when they are wrong.  The reference pairing."""
@@ -249,7 +255,7 @@ def _pair_py(names: tuple[str, ...], keys: array, off: array, nbr: array):
     # are right exactly when their darts are distinct, each has its
     # reverse, every edge is one, and one of each two twins is an edge.
     lens = map(sub, off[1:], off)
-    tails = array("i", chain.from_iterable(map(repeat, range(n), lens)))
+    tails = list(chain.from_iterable(map(repeat, range(n), lens)))
     slot_of = dict(zip(map(add, map(mul, tails, repeat(n)), nbr), count()))
     twin = list(map(slot_of.get, map(add, map(mul, nbr, repeat(n)), tails)))
     at = list(map(slot_of.get, keys))
@@ -257,7 +263,8 @@ def _pair_py(names: tuple[str, ...], keys: array, off: array, nbr: array):
         out = bytearray(len(nbr))
         for i in at:
             out[i] = 1
-        if all(map(or_, out, map(out.__getitem__, twin))):
+        # Each in-slot's twin must be an out-slot.
+        if all(map(out.__getitem__, compress(twin, out.translate(_FLIP)))):
             return bytes(out), array("i", twin)
     _check_rows(names, map(divmod, keys, repeat(n)), off, nbr)
 
@@ -512,28 +519,35 @@ def _arrays_py(base: EmbeddedDigraph, cyc: list[VertexId], k: int) -> OtArrays:
     pos = [0] * n
     for p, v in enumerate(cyc):
         pos[v] = p
-    boff, bnbr, bout = base.off, base.nbr, base.out
+    boff, bout = base.off, base.out
+    rel = array("i", map(pos.__getitem__, base.nbr))  # every slot relabelled
     off, nbr, out = array("i", [0]), array("i"), bytearray()
     # The edges (a, b), a < b, spanning the current position, as a * n + b
-    # and innermost on top.  Both checks hold exactly when every row's
-    # edges down to lower positions close the innermost ones in turn.
-    open_at: list[int] = []
+    # and innermost on top, over a sentinel no edge matches.  Both checks
+    # hold exactly when each row, read backwards, closes the innermost
+    # edges by its down-slots and then opens its own by its up-slots: a row
+    # that lists a down after an up closes an edge it has just opened.
+    open_at = [-1]
+    push, pop = open_at.append, open_at.pop
     for p, v in enumerate(cyc):
         o, e = boff[v], boff[v + 1]
-        row = [pos[w] for w in bnbr[o:e]]
+        row = rel[o:e]
         i = row.index(p + 1 if p + 1 < n else 0)
-        row = row[i:] + row[:i]
-        ups = [q for q in row if q > p]
-        for q in reversed(row[len(ups) :]):
-            if not open_at or open_at.pop() != q * n + p:
+        if i:
+            row = row[i:] + row[:i]
+            out += bout[o + i : e] + bout[o : o + i]
+        else:
+            out += bout[o:e]
+        for q in reversed(row):
+            if q > p:
+                push(p * n + q)
+            elif pop() != q * n + p:
                 raise GraphError(
                     "not-outerplanar",
                     f"rotation of {base.names[v]} does not follow the boundary "
                     f"cycle, or one of its edges crosses another",
                 )
-        open_at += [p * n + q for q in reversed(ups)]
-        nbr.extend(row)
-        out += bout[o + i : e] + bout[o : o + i]
+        nbr += row
         off.append(len(nbr))
     return OtArrays(cyc, k, off, nbr, out)
 
@@ -565,6 +579,18 @@ def face_walks(g: EmbeddedDigraph, slots: Iterable[int]) -> Iterator[list[int]]:
             i = j - 1 if j > off[v] else off[v + 1] - 1
         if walk:
             yield walk
+
+
+def next_slots(g: EmbeddedDigraph) -> list[int]:
+    """Each slot's next slot on its face walk (see :func:`face_walks`), the
+    pure-Python twin of :func:`face_next`.  O(m)."""
+    # before[j]: the slot before slot j in its row, cyclically.  Each row
+    # sets its first slot's entry; an empty row's entry lies at the next
+    # row's first slot, which that row sets after it, or past the slots.
+    before = list(range(-1, len(g.nbr)))
+    for o, e in zip(g.off, islice(g.off, 1, None)):
+        before[o] = e - 1
+    return list(map(before.__getitem__, g.twin))
 
 
 def faces(g: EmbeddedDigraph) -> FaceSet:
@@ -599,9 +625,13 @@ def kahn_order(g: EmbeddedDigraph) -> tuple[array, bool]:
     whether two vertices were ever ready at once.  The order is shorter
     than n exactly when the graph has a directed cycle, and it is the only
     topological order exactly when it is full and never ambiguous."""
-    n, off, nbr, out = g.n, g.off, g.nbr, g.out
+    n, out = g.n, g.out
+    # Each vertex's out-neighbours are heads[at[v]:at[v + 1]], in row order.
+    heads = list(compress(g.nbr, out))
+    before = list(accumulate(out, initial=0))  # the out-slots before each slot
+    at = list(map(before.__getitem__, g.off))
     indeg = [0] * n
-    for w in compress(nbr, out):
+    for w in heads:
         indeg[w] += 1
     ready = [v for v in range(n) if not indeg[v]]
     order = array("i")
@@ -610,12 +640,10 @@ def kahn_order(g: EmbeddedDigraph) -> tuple[array, bool]:
         ambiguous = ambiguous or len(ready) > 1
         v = ready.pop()
         order.append(v)
-        for i in range(off[v], off[v + 1]):
-            if out[i]:
-                w = nbr[i]
-                indeg[w] -= 1
-                if not indeg[w]:
-                    ready.append(w)
+        for w in heads[at[v] : at[v + 1]]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
     return order, ambiguous
 
 
@@ -749,9 +777,21 @@ def _validate_py(g: EmbeddedDigraph) -> None:
     if n < 2:
         raise GraphError("too-small", "graph needs at least vertices s and t")
     off, nbr, out = g.off, g.nbr, g.out
+    # Sources by in-degree: an edge given with its reverse shares one slot
+    # pair, both flagged out, and only the counts see that both its ends
+    # have an in-edge.
     indeg = Counter(compress(nbr, out))
     sources = [v for v in range(n) if not indeg[v]]
-    sinks = [v for v in range(n) if 1 not in out[off[v] : off[v + 1]]]
+    # Sinks and the in/out blocks in one pass over the rows.  The outgoing
+    # slots form one cyclic run exactly when at most one outgoing slot is
+    # followed by an incoming one.
+    sinks, bad = [], None
+    find, turns = out.find, out.count
+    for v, o, e in zip(range(n), off, islice(off, 1, None)):
+        if find(1, o, e) < 0:
+            sinks.append(v)
+        elif bad is None and turns(b"\x01\x00", o, e) + (out[e - 1] > out[o]) > 1:
+            bad = v
     if len(sources) != 1 or sources[0] != g.s:
         raise GraphError(
             "multi-source",
@@ -766,24 +806,32 @@ def _validate_py(g: EmbeddedDigraph) -> None:
         )
     if len(g.kahn[0]) != n:
         raise GraphError("cyclic", "graph contains a directed cycle")
-    for v in range(n):
-        # The outgoing slots form one cyclic run exactly when at most one
-        # outgoing slot is followed by an incoming one.
-        o, e = off[v], off[v + 1]
-        if out.count(b"\x01\x00", o, e) + (out[e - 1] > out[o] if e > o else 0) > 1:
-            raise GraphError(
-                "non-consecutive-in-out",
-                f"vertex {g.names[v]}: incoming/outgoing edges are interleaved "
-                f"in the rotation",
-            )
-    count = sum(1 for _ in face_walks(g, range(len(nbr))))
+    if bad is not None:
+        raise GraphError(
+            "non-consecutive-in-out",
+            f"vertex {g.names[bad]}: incoming/outgoing edges are interleaved "
+            f"in the rotation",
+        )
+    nxt = next_slots(g)
+    seen = bytearray(len(nbr))
+    count = 0
+    for i in range(len(nbr)):
+        if not seen[i]:
+            count += 1
+            while not seen[i]:
+                seen[i] = 1
+                i = nxt[i]
     if n - g.m + count != 2:
         raise GraphError(
             "non-planar-rotation",
             f"rotation system is not a planar embedding: V-E+F = "
             f"{n}-{g.m}+{count} != 2",
         )
-    if g.t not in map(nbr.__getitem__, next(face_walks(g, [outer_slot(g)]))):
+    i, outer = outer_slot(g), bytearray(len(nbr))
+    while not outer[i]:
+        outer[i] = 1
+        i = nxt[i]
+    if g.t not in compress(nbr, outer):
         raise GraphError(
             "sink-not-on-outer-face",
             f"sink {g.names[g.t]} does not lie on the outer face",
