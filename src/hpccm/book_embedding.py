@@ -73,15 +73,12 @@ class PageColumns(NamedTuple):
     the spine, and ``codes`` per edge, in key order, 4 (lo * n + hi) +
     2 p + f, with lo and hi the spine ranks of its ends, p = 1 if it
     leaves its lower end on page R and f = 1 if its page changes on the
-    way.  Per spine crossing, in spine order: ``xs`` and ``ys`` the ids of
-    its edge's ends, ``crossed`` that edge's lo * n + hi, ``gaps`` its gap
-    and ``ranks`` its rank in the gap."""
+    way.  Per spine crossing, in spine order: ``crossed`` its edge's
+    lo * n + hi, ``gaps`` its gap and ``ranks`` its rank in the gap."""
 
     n: int
     spine: list[int]
     codes: list[int]
-    xs: list[int]
-    ys: list[int]
     crossed: list[int]
     gaps: list[int]
     ranks: list[int]
@@ -155,8 +152,6 @@ def _pages(g: OTStDigraph, c) -> PageColumns:
         n,
         [cyc[p] for p in path],
         codes,
-        [cyc[x] for x in xs],
-        [cyc[y] for y in ys],
         [rank[x] * n + rank[y] for x, y in zip(xs, ys)],
         gaps,
         ranks,
@@ -179,9 +174,10 @@ def _check_sides(g: OTStDigraph, cols: PageColumns) -> None:
 
 def _records(base: EmbeddedDigraph, cols: PageColumns) -> dict:
     """Spine, placements and spine crossings of a made embedding."""
+    n, spine = cols.n, cols.spine
     crossings = tuple(
-        SpineCrossing(edge=e, gap=gap, rank_in_gap=j)
-        for e, gap, j in zip(zip(cols.xs, cols.ys), cols.gaps, cols.ranks)
+        SpineCrossing(edge=(spine[k // n], spine[k % n]), gap=gap, rank_in_gap=j)
+        for k, gap, j in zip(cols.crossed, cols.gaps, cols.ranks)
     )
     assignment = {e: _BY_CODE[c & 3] for e, c in zip(base.pairs(), cols.codes)}
     for crossing in crossings:
@@ -189,8 +185,7 @@ def _records(base: EmbeddedDigraph, cols: PageColumns) -> dict:
         assignment[crossing.edge] = SplitArc(
             lower_page=lower, crossing=crossing, upper_page="R" if lower == "L" else "L"
         )
-    spine = tuple(cols.spine)
-    return {"spine": spine, "assignment": assignment, "crossings": crossings}
+    return {"spine": tuple(spine), "assignment": assignment, "crossings": crossings}
 
 
 # ---------------------------------------------------------------------------

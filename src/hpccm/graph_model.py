@@ -670,37 +670,21 @@ def face_next(np, g: EmbeddedDigraph):
     return before[np.frombuffer(g.twin, dtype=np.intc)]
 
 
-def outer_walk(np, g: EmbeddedDigraph, nxt):
-    """The outer face's slots in walk order from :func:`outer_slot`, as a
-    numpy array, when every other face is a triangle; else None.  ``nxt``
-    is :func:`face_next`.  The slots off the triangles (``nxt`` thrice not
-    back) must then form one cycle through the outer slot; each one's
-    steps to it, found by pointer jumping in log2(n) rounds, give the
-    order."""
+def outer_walk(g: EmbeddedDigraph, nxt: Sequence[int]) -> array | None:
+    """The outer face's slots in walk order from :func:`outer_slot`, or None
+    if the source has no slot or the walk is not back within the slot
+    count.  ``nxt`` is each slot's next slot (:func:`next_slots`, or a
+    ``memoryview`` of :func:`face_next`).  O(outer face)."""
     if g.off[g.s] == g.off[g.s + 1]:
         return None  # no outer slot
-    o, slots = outer_slot(g), len(nxt)
-    nxt2 = nxt[nxt]
-    tri = nxt[nxt2] == np.arange(slots)
-    if tri[o]:  # the outer face is a triangle too
-        return np.array([o, nxt[o], nxt2[o]]) if tri.all() else None
-    ring = np.flatnonzero(~tri)
-    size = len(ring)
-    local = np.empty(slots, dtype=np.intc)
-    local[ring] = np.arange(size, dtype=np.intc)
-    to = local[nxt[ring]]  # a face off the triangles stays off them
-    start = local[o]
-    to[start] = start
-    steps = np.ones(size, dtype=np.intc)
-    steps[start] = 0
-    for _ in range(size.bit_length()):
-        steps += steps[to]
-        to = to[to]
-    if (to != start).any():
-        return None  # a second face that is not a triangle
-    walk = np.empty(size, dtype=np.intc)
-    walk[(size - steps) % size] = ring
-    return walk
+    o = i = outer_slot(g)
+    walk = []
+    for _ in range(len(nxt)):
+        walk.append(i)
+        i = nxt[i]
+        if i == o:
+            return array("i", walk)
+    return None  # nxt is not a permutation
 
 
 def _valid_np(np, g: EmbeddedDigraph) -> bool:
@@ -827,11 +811,7 @@ def _validate_py(g: EmbeddedDigraph) -> None:
             f"rotation system is not a planar embedding: V-E+F = "
             f"{n}-{g.m}+{count} != 2",
         )
-    i, outer = outer_slot(g), bytearray(len(nbr))
-    while not outer[i]:
-        outer[i] = 1
-        i = nxt[i]
-    if g.t not in compress(nbr, outer):
+    if g.t not in map(nbr.__getitem__, outer_walk(g, nxt)):
         raise GraphError(
             "sink-not-on-outer-face",
             f"sink {g.names[g.t]} does not lie on the outer face",
@@ -1242,8 +1222,8 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
     triangle: the rotations must follow the boundary cycle with no two
     edges crossing (checked as the positional arrays are built), and then
     the interior faces are all triangles exactly when m = 2n - 3.  Large
-    graphs are walked with numpy; when that finds a fault, the pure-Python
-    walk runs again to name it.
+    graphs are walked by :func:`outer_walk` and split with numpy; when
+    that finds a fault, the pure-Python walk runs again to name it.
     """
     np = backend(g.n)
     found = None if np is None else _cycle_np(np, g)
@@ -1253,20 +1233,19 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
 
 def _cycle_np(np, g: EmbeddedDigraph):
     """:func:`_cycle_py`'s cycle and k, or None where it would raise: the
-    outer walk comes from :func:`outer_walk`, and the chains are split at
-    the walk's first slot out of t."""
+    outer face is walked by :func:`outer_walk` on :func:`face_next`, and
+    the chains are split at the walk's first slot out of t.  As there, the
+    interior faces are left to m = 2n - 3 and the positional arrays'
+    checks."""
     n = g.n
-    walk = outer_walk(np, g, face_next(np, g))
+    walk = outer_walk(g, memoryview(face_next(np, g)))
     if walk is None or len(walk) != n or g.m != 2 * n - 3:
         return None
+    walk = np.frombuffer(walk, dtype=np.intc)
     head = np.frombuffer(g.nbr, dtype=np.intc)
     twin = np.frombuffer(g.twin, dtype=np.intc)
     out = np.frombuffer(g.out, dtype=np.bool_)
-    tail, head = head[twin[walk]], head[walk]
-    at_s = np.flatnonzero(tail == g.s)
-    if len(at_s) != 1:
-        return None
-    walk, tail, head = (np.roll(a, -at_s[0]) for a in (walk, tail, head))
+    tail, head = head[twin[walk]], head[walk]  # tail[0] is s
     at_t = np.flatnonzero(tail[1:] == g.t)
     j = at_t[0] + 1 if len(at_t) else n
     if not (out[walk[1:j]].all() and out[twin[walk[j:]]].all()):
@@ -1287,17 +1266,14 @@ def _cycle_py(g: EmbeddedDigraph) -> tuple[list[VertexId], int]:
             "not-outerplanar",
             f"source {g.names[g.s]} has no edge to fix the outer face",
         )
-    outer = next(face_walks(g, [outer_slot(g)]))
-    # Rotate the cyclic walk to start at s, the tail of its first slot
-    # (the head of the slot before).
-    starts = [k for k in range(len(outer)) if nbr[outer[k - 1]] == g.s]
-    if len(starts) != 1:
+    # The walk starts at s, the tail of the outer slot.
+    walk = next(face_walks(g, [outer_slot(g)]))
+    visits = [nbr[i] for i in walk].count(g.s)
+    if visits != 1:
         raise GraphError(
             "not-outerplanar",
-            f"outer boundary visits {g.names[g.s]} {len(starts)} times",
+            f"outer boundary visits {g.names[g.s]} {visits} times",
         )
-    k = starts[0]
-    walk = outer[k:] + outer[:k]
     right: list[VertexId] = []
     left_rev: list[VertexId] = []
     at_t = False

@@ -1,8 +1,10 @@
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
+import hpccm.book_embedding as be
 import hpccm.graph_model as gm
 from hpccm import (
     BookEmbedding,
@@ -243,3 +245,40 @@ def test_render_svg_deterministic_and_wellformed(f9):
         1 for p in b.assignment.values() if isinstance(p, SplitArc)
     )
     assert len(paths) == len(b.assignment) + splits
+
+
+@pytest.mark.parametrize(
+    "split, message",
+    [(0, "uncrossed edge {} changes sides"), (1, "crossed edge {} keeps its side")],
+)
+def test_check_sides_names_a_flipped_split_bit(stack3, monkeypatch, split, message):
+    # The page rule's codes must change sides exactly on the crossed edges;
+    # one flipped split bit is named by its edge.
+    pages, flipped = be._pages, []
+
+    def flipping(g, c):
+        cols = pages(g, c)
+        i = next(i for i, code in enumerate(cols.codes) if code & 1 == split)
+        flipped.append(next(islice(g.base.pairs(), i, None)))
+        codes = list(cols.codes)
+        codes[i] ^= 1
+        return cols._replace(codes=codes)
+
+    monkeypatch.setattr(be, "_pages", flipping)
+    with pytest.raises(GraphError) as err:
+        to_book_embedding(stack3, solve(stack3))
+    assert err.value.kind == "internal"
+    assert str(err.value) == message.format(stack3.base.name_edge(flipped[0]))
+
+
+def test_render_text_from_records_matches_columns(corpus, stack3, f9, pfp):
+    # An embedding given as records (replace keeps no columns) prints as
+    # the one to_book_embedding made from its columns.
+    split = 0
+    for ot in (*corpus, stack3, f9, pfp):
+        b = to_book_embedding(ot, solve(ot))
+        records = replace(b)
+        assert b.columns is not None and records.columns is None
+        assert render_text(records) == render_text(b)
+        split += len(records.crossings)
+    assert split >= 100

@@ -183,7 +183,7 @@ def test_numpy_builder_matches_pure(kernel_profiles, monkeypatch):
     # Every instance the builders and the kernel corpus's draws make goes
     # through _from_cycle; with the threshold at 0 numpy builds it and
     # must give the pure path's graph and arrays, or its error.
-    pytest.importorskip("numpy")
+    np = pytest.importorskip("numpy")
     inputs, build = [CROSSING_CHORDS], og._from_cycle
 
     def recorded(names, cycle, heights, chords):
@@ -233,10 +233,15 @@ def test_numpy_builder_matches_pure(kernel_profiles, monkeypatch):
         assert ot.base == g and hash(ot.base) == hash(g)
         for name in gm.OtArrays.__slots__:
             assert getattr(ot.arrays, name) == getattr(ref.arrays, name), (i, name)
-    # Only the crossing chords reach the pure classifier, which names the
-    # error.
+    # Only the crossing chords reach a pure body, which names the error.
+    # Their outer face is a 5-cycle and m = 7 = 2 * 5 - 3, so both outer
+    # walks take them, and the positional arrays' check rejects them.
     names = tuple(CROSSING_CHORDS[0])
-    assert named == [("_cycle_py", names), ("_arrays_py", names)]
+    assert named == [("_arrays_py", names)]
+    monkeypatch.undo()
+    g = og._slots_py(*CROSSING_CHORDS)
+    cyc, k = gm._cycle_np(np, g)
+    assert (list(cyc), k) == gm._cycle_py(g)
 
 
 def test_numpy_builder_gives_the_pure_slots(monkeypatch):

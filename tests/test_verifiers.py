@@ -423,6 +423,62 @@ def test_crossing_entries_that_are_no_edges(monkeypatch, numpy_min_n):
         ]
 
 
+def listed_twice(r):
+    """The longest list with its first entry given twice, in order."""
+    i = _longest(r)
+    return _with_lists(r, i, r.crossings[i][:1] + r.crossings[i])
+
+
+# Results whose shape is wrong before any list is compared, and a list
+# holding one forced edge twice: each with the message it must give.
+SHAPE_FAULTS = [
+    (lambda r: replace(r, path=r.path[:-1]), "path is not a permutation"),
+    (lambda r: replace(r, path=(r.path[1], *r.path[1:])), "path is not a permutation"),
+    (lambda r: replace(r, path=(*r.path[:-1], len(r.path))), "path is not a permutation"),
+    (lambda r: replace(r, path=(*r.path[:-1], "t")), "path is not a permutation"),
+    (lambda r: replace(r, crossings=r.crossings[:-1]), "crossing lists do not match"),
+    (lambda r: replace(r, crossings=(*r.crossings, ())), "crossing lists do not match"),
+    (listed_twice, "crosses an edge twice"),
+]
+
+
+@pytest.mark.parametrize("numpy_min_n", [None, 0])
+def test_shape_faults_named_as_pairwise(monkeypatch, numpy_min_n):
+    if numpy_min_n is not None:
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(gm, "NUMPY_MIN_N", numpy_min_n)
+    for ot in (polygon_stack(3), five_crossing_polygon(), make_pfp()):
+        r = solve(ot)
+        for corrupt, message in SHAPE_FAULTS:
+            bad = corrupt(r)
+            new = verify_solution(ot, bad)
+            assert new == pairwise.verify_solution(ot, bad)
+            assert any(message in m for m in new), (message, new)
+
+
+def test_embedding_shape_faults_named_as_pairwise(stack3):
+    b = to_book_embedding(stack3, solve(stack3))
+    edges = list(b.assignment)
+    (e, split), (f, arc) = (
+        next((e, p) for e, p in b.assignment.items() if isinstance(p, kind))
+        for kind in (SplitArc, PageArc)
+    )
+    swapped = {**b.assignment, e[::-1]: arc}
+    del swapped[e]
+    foreign = replace(split, crossing=replace(split.crossing, edge=f))
+    cases = [
+        (replace(b, spine=b.spine[:-1]), "spine is not a permutation"),
+        (replace(b, spine=(*b.spine[:-1], b.spine[0])), "spine is not a permutation"),
+        (_embedding(b, {x: b.assignment[x] for x in edges[1:]}), "does not cover"),
+        (_embedding(b, swapped), "does not cover"),
+        (_embedding(b, {**b.assignment, f: PageArc("X")}), "has page 'X'"),
+        (_embedding(b, {**b.assignment, e: foreign}), "carries a foreign crossing"),
+    ]
+    for bad, message in cases:
+        new = _assert_same_verdict(stack3.base, bad)
+        assert any(message in m for m in new), (message, new)
+
+
 def test_verify_calls_interleaves_once_per_crossing(monkeypatch):
     ot = polygon_stack(2000)
     r = solve(ot, check=False)
