@@ -191,6 +191,17 @@ class EmbeddedDigraph:
         by the pure-Python validation to tell acyclic graphs."""
         return kahn_order(self)
 
+    @cached_property
+    def outer(self) -> array | None:
+        """:func:`outer_walk` of the graph, walked once: the numpy
+        validation stores it from the step table it builds, else it is
+        walked on first use.  :func:`classify_ot` and the rhombi read it at
+        numpy sizes."""
+        np = backend(self.n)
+        return outer_walk(
+            self, next_slots(self) if np is None else memoryview(face_next(np, self))
+        )
+
     def name_edge(self, e: DirectedEdge) -> str:
         return f"{self.names[e[0]]}->{self.names[e[1]]}"
 
@@ -501,7 +512,9 @@ def _arrays_np(np, base: EmbeddedDigraph, cyc: list[VertexId], k: int):
     order = np.argsort(level, kind="stable")
     level, opens, key = level[order], opens[order], key[order]
     del order
-    rank = index - np.searchsorted(level, level)
+    # Each event's place within its level: its index less the level's first.
+    size = np.bincount(level - level[0])
+    rank = index - (np.cumsum(size) - size)[level - level[0]]
     is_close = rank % 2 == 1
     if (opens == is_close).any():
         return None
@@ -688,13 +701,19 @@ def outer_walk(g: EmbeddedDigraph, nxt: Sequence[int]) -> array | None:
 
 
 def _valid_np(np, g: EmbeddedDigraph) -> bool:
-    """Whether :func:`_validate_py` passes, decided on the slot arrays.
+    """Whether :func:`_validate_py` passes, decided on the slot arrays, in
+    O(m) on an OT-st-digraph.
 
-    Degrees by ``bincount``; faces are the cycles of the permutation
-    ``nxt`` (:func:`face_next`), each labelled with its least slot by
-    pointer jumping in log2(2m) rounds.  Stepping from each vertex to its
-    least in-neighbour (jumping too) must reach s, so the graph is
-    connected and, with V - E + F = 2, a plane embedding.
+    Degrees by ``bincount``.  Stepping from each vertex to its least
+    in-neighbour, by pointer jumping in log2(n) rounds, must reach s, so the
+    graph is connected.  The faces are the cycles of the permutation ``nxt``
+    (:func:`face_next`), in three classes: the triangles, the slots i with
+    ``nxt[i] != i`` and ``nxt`` thrice back to i; the outer face, the walk
+    :attr:`EmbeddedDigraph.outer`, which must contain t; and the rest,
+    compressed into a sub-permutation whose cycles are each labelled with
+    their least slot by pointer jumping.  An OT-st-digraph has no rest.
+    With tri / 3 + 1 + (the rest's cycles) faces, V - E + F = 2 makes the
+    connected graph a plane embedding.
 
     Bimodal rows and acyclicity are then decided together, without Kahn's
     pass.  A switch is a slot i whose edge and ``nxt[i]``'s point opposite
@@ -713,6 +732,14 @@ def _valid_np(np, g: EmbeddedDigraph) -> bool:
     n' - m' + F' = 1, against Euler's formula.  Without the connectivity
     test, a torus-embedded grid with every edge pointing right or up would
     pass as a second component.
+
+    Each class proves "two on every face" for its faces its own way.  Each
+    cycle of the rest is counted by its label.  The triangles are counted
+    by one total: a triangle's switches are even and at most three, so two
+    on each is exactly 2 / 3 of the triangle slots.  The outer face needs no
+    count: its angle at s, between two out-edges, is a switch, so it has at
+    least two, and with two on every other face the bound of 2F leaves it
+    at most two.
     """
     n, slots = g.n, len(g.nbr)
     if n < 2 or len(g.off) != n + 1 or not slots or slots != 2 * g.m:
@@ -733,26 +760,49 @@ def _valid_np(np, g: EmbeddedDigraph) -> bool:
     back = np.full(n, n - 1, dtype=np.intc)
     np.minimum.at(back, head[out], tail[out])  # the least in-neighbour
     back[g.s] = g.s
+    span = 1
+    while span < n:
+        back = back[back]
+        span *= 2
+    if (back != g.s).any():
+        return False  # a vertex s does not reach
+    del tail, back
     nxt = face_next(np, g)
     if np.bincount(nxt, minlength=slots).max() > 1:
         return False  # not a permutation
-    switch = out != out[nxt]
-    label = np.arange(slots, dtype=np.intc)
-    span = 1
-    while span < slots:  # 2m slots: at least n, enough for back too
-        np.minimum(label, label[nxt], out=label)
-        nxt, back = nxt[nxt], back[back]
-        span *= 2
-    del nxt
-    if (back != g.s).any():
-        return False  # a vertex s does not reach
-    root = label == np.arange(slots, dtype=np.intc)
-    if n - g.m + np.count_nonzero(root) != 2:
+    if "outer" not in g.__dict__:  # g.outer, walked on this nxt
+        g.__dict__["outer"] = outer_walk(g, memoryview(nxt))
+    if g.outer is None:
+        return False  # s has no slot
+    walk = np.frombuffer(g.outer, dtype=np.intc)
+    if not (head[walk] == g.t).any():
         return False
-    if not (np.bincount(label[switch], minlength=slots) == 2 * root).all():
-        return False  # a directed cycle, or a row that is not bimodal
-    outer = label[off[g.s + 1] - 1]
-    return bool((head[label == outer] == g.t).any())
+    switch = out != out[nxt]
+    index = np.arange(slots, dtype=np.intc)
+    tri = nxt[nxt[nxt]] == index
+    tri &= nxt != index
+    tri[walk] = False
+    triangles = np.count_nonzero(tri)
+    if 3 * np.count_nonzero(switch & tri) != 2 * triangles:
+        return False  # a directed triangle
+    rest = ~tri
+    rest[walk] = False
+    rest = np.flatnonzero(rest)
+    del tri
+    # The rest's cycles, relabelled 0..len(rest) - 1 in slot order.
+    step = np.empty(slots, dtype=np.intc)
+    step[rest] = np.arange(len(rest), dtype=np.intc)
+    step = step[nxt[rest]]
+    label = np.arange(len(rest), dtype=np.intc)
+    span = 1
+    while span < len(rest):
+        np.minimum(label, label[step], out=label)
+        step = step[step]
+        span *= 2
+    root = label == np.arange(len(rest), dtype=np.intc)
+    if n - g.m + triangles // 3 + 1 + np.count_nonzero(root) != 2:
+        return False
+    return bool((np.bincount(label[switch[rest]], minlength=len(rest)) == 2 * root).all())
 
 
 def _validate_py(g: EmbeddedDigraph) -> None:
@@ -1222,8 +1272,9 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
     triangle: the rotations must follow the boundary cycle with no two
     edges crossing (checked as the positional arrays are built), and then
     the interior faces are all triangles exactly when m = 2n - 3.  Large
-    graphs are walked by :func:`outer_walk` and split with numpy; when
-    that finds a fault, the pure-Python walk runs again to name it.
+    graphs are split with numpy on their stored outer walk
+    (:attr:`EmbeddedDigraph.outer`); when that finds a fault, the
+    pure-Python walk runs again to name it.
     """
     np = backend(g.n)
     found = None if np is None else _cycle_np(np, g)
@@ -1233,12 +1284,11 @@ def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
 
 def _cycle_np(np, g: EmbeddedDigraph):
     """:func:`_cycle_py`'s cycle and k, or None where it would raise: the
-    outer face is walked by :func:`outer_walk` on :func:`face_next`, and
-    the chains are split at the walk's first slot out of t.  As there, the
-    interior faces are left to m = 2n - 3 and the positional arrays'
-    checks."""
+    chains are split at the first slot out of t on the stored outer walk
+    (:attr:`EmbeddedDigraph.outer`).  As there, the interior faces are left
+    to m = 2n - 3 and the positional arrays' checks."""
     n = g.n
-    walk = outer_walk(g, memoryview(face_next(np, g)))
+    walk = g.outer
     if walk is None or len(walk) != n or g.m != 2 * n - 3:
         return None
     walk = np.frombuffer(walk, dtype=np.intc)

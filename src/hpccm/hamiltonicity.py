@@ -24,7 +24,6 @@ from .graph_model import (
     face_next,
     face_walks,
     outer_slot,
-    outer_walk,
 )
 
 
@@ -56,22 +55,19 @@ def rhombus_columns(g: EmbeddedDigraph) -> tuple[list[VertexId], ...]:
 
 
 def _rhombi_np(np, g: EmbeddedDigraph):
-    """:func:`_rhombi_py`'s columns, or None where it would raise: the
-    outer face is walked by :func:`outer_walk`, and every slot off it must
-    lie on a triangle (``nxt`` thrice back to itself)."""
+    """:func:`_rhombi_py`'s columns, or None where it would raise: every
+    slot off the stored outer walk (:attr:`EmbeddedDigraph.outer`) must lie
+    on a triangle (``nxt`` thrice back to itself)."""
     slots = len(g.nbr)
-    if not slots or slots != 2 * g.m:
+    if not slots or slots != 2 * g.m or g.outer is None:
         return None
     head = np.frombuffer(g.nbr, dtype=np.intc)
     twin = np.frombuffer(g.twin, dtype=np.intc)
     out = np.frombuffer(g.out, dtype=np.bool_)
     nxt = face_next(np, g)
-    outer = outer_walk(g, memoryview(nxt))
-    if outer is None:
-        return None
     nxt2 = nxt[nxt]
     tri = np.ones(slots, dtype=np.bool_)
-    tri[np.frombuffer(outer, dtype=np.intc)] = False
+    tri[np.frombuffer(g.outer, dtype=np.intc)] = False
     if ((nxt[nxt2] != np.arange(slots)) & tri).any():
         return None  # an interior face that is not a triangle
     flank = tri & (out[nxt] == out[nxt2]) & (out[nxt] != out)
@@ -145,7 +141,10 @@ def _order_np(np, g: EmbeddedDigraph):
     format).  s, then the reverse postorder of this tree, then t is the
     order in which a depth-first search taking out-edges left to right
     finishes the vertices, backwards.  The postorder is read off the
-    tree's Euler tour, ranked by pointer jumping in log2(2n) rounds.  The
+    tree's Euler tour, ranked by pointer jumping in log2(2n) rounds: a
+    deliberate O(n log n) part of the default path, since walking the tour
+    instead, through a ``memoryview``, took 0.36-0.40 s against 0.30 s at
+    n = 10^6, and list ranking has no cheaper vectorised linear form.  The
     order is checked, not assumed: it must be a permutation under which
     every edge points forward.  Then the graph has a hamiltonian path
     exactly when n - 1 of its edges join consecutive vertices.

@@ -631,7 +631,10 @@ def _range_min_py(vals: list[int], ends: list[tuple[int, int]]) -> list:
 def _range_min_np(np, vals, lo, hi):
     """min(vals[lo..hi]) per query (lo <= hi), from the minima over runs of
     2^j values, one level at a time: a query of length in [2^j, 2^(j+1))
-    is the smaller of two runs of level j."""
+    is the smaller of two runs of level j.  Each level is one pass over the
+    values, so this is a deliberate O(n log n) part of the default path:
+    :func:`_range_min_py`'s sweep is linear, but each step depends on the
+    stack the step before left, and has no vectorised form."""
     level = np.frexp((hi - lo + 1).astype(np.float64))[1] - 1
     out = np.empty(len(lo), dtype=vals.dtype)
     run = vals

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 import time
+from collections import Counter
 from itertools import count, islice
 from typing import Iterator
 
@@ -170,6 +172,30 @@ def kernel_profiles(oracle_draw_list) -> list[GenProfile]:
     """The profiles of the kernel corpus's random_ot draws."""
     draws, _ = oracle_draw_list
     return [prof for prof, *_ in draws] + [CHAIN_PROFILE]
+
+
+def thinned(g: EmbeddedDigraph, deletions: int, seed: int) -> EmbeddedDigraph:
+    """``g``, a valid st-digraph, with up to ``deletions`` interior edges
+    (u, v) deleted, drawn by ``seed``, each only while u keeps another
+    out-edge and v another in-edge: faces of four and more slots appear,
+    and the graph stays a valid st-digraph with the same outer face."""
+    nbr, twin = g.nbr, g.twin
+    outer = {(nbr[twin[i]], nbr[i]) for i in g.outer}
+    inner = [(u, v) for u, v in g.pairs() if (u, v) not in outer and (v, u) not in outer]
+    outdeg = Counter(u for u, _ in g.pairs())
+    indeg = Counter(v for _, v in g.pairs())
+    gone = set()
+    for u, v in random.Random(seed).sample(inner, len(inner)):
+        if len(gone) < deletions and outdeg[u] > 1 and indeg[v] > 1:
+            gone.add((u, v))
+            outdeg[u] -= 1
+            indeg[v] -= 1
+    rows = (
+        [w for w in nbr[g.off[v] : g.off[v + 1]] if (v, w) not in gone and (w, v) not in gone]
+        for v in range(g.n)
+    )
+    edges = [e for e in g.pairs() if e not in gone]
+    return EmbeddedDigraph.from_rows(g.names, g.s, g.t, edges, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,9 @@ from hpccm import (
     serialize_graph,
 )
 from hpccm.graph_model import _FORMAT_KEYS
+from hpccm.hamiltonicity import rhombus_columns
 
-from conftest import check_key_column
+from conftest import check_key_column, thinned
 
 TRIANGLE_JSON = json.dumps(
     {
@@ -1140,6 +1141,30 @@ def test_face_switches_decide_acyclicity():
     assert accepted >= 20 and cyclic_otherwise_valid >= 30, (accepted, cyclic_otherwise_valid)
 
 
+def test_face_switches_decide_acyclicity_beyond_triangles():
+    # As above, on draws with interior edges deleted first, so that the
+    # faces _valid_np labels by pointer jumping meet the reversed edges.
+    np = pytest.importorskip("numpy")
+    rng = random.Random(42)
+    accepted = cyclic_otherwise_valid = 0
+    for _ in range(1000):
+        prof = GenProfile(rng.randint(2, 6), rng.randint(2, 6), rng.random(), rng.randrange(10**6))
+        g = thinned(random_ot(prof).base, rng.randint(1, 4), rng.randrange(10**6))
+        inner = sorted(e for e in g.edges if g.s not in e and g.t not in e)
+        if g.m == 2 * g.n - 3 or not inner:
+            continue
+        h = _reversed(g, set(rng.sample(inner, min(len(inner), rng.randint(1, 3)))))
+        try:
+            gm._validate_py(h)
+            valid = True
+        except GraphError as exc:
+            valid = False
+            cyclic_otherwise_valid += exc.kind == "cyclic" and _passes_all_but_kahn(h)
+        assert gm._valid_np(np, h) == valid, prof
+        accepted += valid
+    assert accepted >= 10 and cyclic_otherwise_valid >= 30, (accepted, cyclic_otherwise_valid)
+
+
 def test_cycle_in_a_second_component_rejected(monkeypatch):
     # The triangle s, v, t plus a 3 x 3 grid on a torus whose edges point
     # right and up: one source, one sink, bimodal rows, V - E + F = 2 and
@@ -1188,6 +1213,61 @@ def test_large_cycle_rejected_by_numpy_without_kahn(monkeypatch):
         parse_graph(json.dumps(data))
     assert (exc.value.kind, str(exc.value)) == ("cyclic", "graph contains a directed cycle")
     assert verdicts == [False]
+
+
+def test_faces_of_four_and_more_slots_validate_at_numpy_size():
+    # polygon_stack(9999) with 2000 interior edges deleted has faces of
+    # four to seven slots, which _valid_np labels by pointer jumping: it
+    # accepts the graph at the default threshold, and rejects it with one
+    # edge flipped into a cycle.
+    np = pytest.importorskip("numpy")
+    g = thinned(polygon_stack(9999).base, 2000, 1)
+    sizes = Counter(map(len, faces(g).walks))
+    assert g.n >= gm.NUMPY_MIN_N and g.m == 2 * g.n - 3 - 2000
+    assert sizes[4] > 100 and sizes[5] > 10 and sizes[6] + sizes[7] > 0, sizes
+    assert gm._valid_np(np, g)
+    gm._validate_py(g)
+    # r_i -> l_{i+2} reversed closes a cycle through r_{i+1}.
+    ids = g.id_of
+    i = next(
+        i
+        for i in range(1, 9998)
+        if all(
+            g.has_edge((ids[u], ids[v]))
+            for u, v in [(f"r{i}", f"l{i + 2}"), (f"r{i}", f"r{i + 1}"), (f"r{i + 1}", f"l{i + 2}")]
+        )
+    )
+    h = _reversed(g, {(ids[f"r{i}"], ids[f"l{i + 2}"])})
+    assert len(h.kahn[0]) < h.n
+    assert not gm._valid_np(np, h)
+    with pytest.raises(GraphError):
+        gm._validate_py(h)
+
+
+@pytest.mark.parametrize("count", [9, gm.NUMPY_MIN_N // 2])
+def test_each_graph_walks_its_outer_face_once(monkeypatch, count):
+    # parse_graph's validation, classify_ot and rhombus_columns share one
+    # outer walk per graph object; a graph built without validation walks
+    # it on first use.
+    calls, walk = [], gm.outer_walk
+
+    def counted(g, nxt):
+        calls.append(g)
+        return walk(g, nxt)
+
+    text = serialize_graph(polygon_stack(count).base)
+    monkeypatch.setattr(gm, "outer_walk", counted)
+    g = parse_graph(text)
+    classify_ot(g)
+    rhombus_columns(g)
+    assert len(calls) == 1 and calls[0] is g
+    if gm.backend(g.n) is None:
+        return  # the pure classify_ot and rhombi walk their own faces
+    data = json.loads(text)
+    h = build_graph(*(data[key] for key in _FORMAT_KEYS), validate=False)
+    classify_ot(h)
+    rhombus_columns(h)
+    assert len(calls) == 2 and calls[1] is h
 
 
 # ---------------------------------------------------------------------------

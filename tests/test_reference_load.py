@@ -9,8 +9,18 @@ from array import array
 from collections import Counter
 from dataclasses import replace
 
+import pytest
+
 import hpccm.graph_model as gm
-from hpccm import EmbeddedDigraph, GenProfile, GraphError, build_graph, random_ot
+from hpccm import (
+    EmbeddedDigraph,
+    GenProfile,
+    GraphError,
+    build_graph,
+    classify_ot,
+    random_ot,
+)
+from hpccm.hamiltonicity import rhombus_columns
 
 from tests import reference_load as ref
 
@@ -125,6 +135,42 @@ def test_rewritten_bodies_match_the_old_ones_on_edited_draws():
         ("arrays", "ok"),
     ]:
         assert kinds[name, kind] >= 3, (name, kind, kinds)
+
+
+def _edited_draws():
+    """The 500 edited draws of the test above, in its order."""
+    rng = random.Random(20)
+    for _ in range(500):
+        prof = GenProfile(
+            rng.randint(0, 6), rng.randint(1, 6), rng.random(), rng.randrange(10**6)
+        )
+        yield _edited(random_ot(prof).base, rng)
+
+
+def _loaded(g: EmbeddedDigraph) -> tuple:
+    """What :func:`classify_ot` and :func:`rhombus_columns` give on ``g``."""
+    ot = _outcome(classify_ot, g)
+    if ot[0] == "ok":
+        ot = (ot[0], ot[1].base, _fields(ot[1].arrays))
+    return ot, _outcome(rhombus_columns, g)
+
+
+def test_numpy_validation_matches_pure_on_edited_draws(monkeypatch):
+    # With the threshold at 0 every numpy body runs on the edited draws:
+    # _valid_np accepts exactly what _validate_py accepts, and the walk it
+    # stores changes nothing classify_ot and rhombus_columns give, against
+    # a copy that walks its outer face on first use.
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    verdicts: Counter = Counter()
+    for g in _edited_draws():
+        checked, fresh = replace(g), replace(g)
+        valid = gm._valid_np(np, checked)
+        assert valid == (_validated(gm._validate_py, g, gm.kahn_order)[0] == "ok")
+        verdicts[valid] += 1
+        assert "outer" not in fresh.__dict__
+        assert _loaded(checked) == _loaded(fresh)
+    assert verdicts[True] >= 3 and verdicts[False] >= 3, verdicts
 
 
 def test_the_first_interleaved_row_is_named(kernel_corpus):
