@@ -33,6 +33,9 @@ from .graph_model import (
     GraphError,
     OTStDigraph,
     VertexId,
+    backend,
+    join_words,
+    word_rows,
 )
 from .solver import HpCompletionResult, result_columns, verify_solution
 
@@ -324,8 +327,12 @@ def _spine_y(position: float, n: int) -> float:
 
 def render_text(b: BookEmbedding) -> str:
     """Stable line-based description: spine order, then one line per edge,
-    by the spine ranks of its ends."""
+    by the spine ranks of its ends.  Numpy lays out the large embeddings
+    that :func:`to_book_embedding` makes (:func:`_render_np`)."""
     cols = b.columns
+    np = None if cols is None else backend(cols.n)
+    if np is not None:
+        return _render_np(np, b.names, cols)
     spine = b.spine if cols is None else cols.spine
     n = len(spine)
     names = list(map(b.names.__getitem__, spine))
@@ -349,6 +356,46 @@ def render_text(b: BookEmbedding) -> str:
             for c in sorted(cols.codes)
         ]
     return "spine: " + " ".join(names) + "\n" + "".join(body)
+
+
+def _render_np(np, names: tuple[str, ...], cols: PageColumns) -> str:
+    """:func:`render_text`'s text from the columns as word ids (see
+    :func:`~hpccm.graph_model.join_words`): the names by spine rank, the
+    glue, then each spine crossing's gap.  An edge's line is its ends'
+    names around ``->`` and its placement text, and a split edge's two
+    words more, its gap and its upper page.  The split edges' keys in
+    order are the crossed keys in order (:func:`_check_sides`)."""
+    n = cols.n
+    glue = (
+        "spine: ",
+        " ",
+        "\n",
+        "->",
+        " page=L\n",
+        " split L",
+        " page=R\n",
+        " split R",
+        "R\n",
+        "L\n",
+    )
+    head, space, newline, arrow, *placed, upper_r, upper_l = range(n, n + len(glue))
+    spine = word_rows(np, n, space, np.arange(n))
+    spine[0] = head
+    codes = np.sort(np.array(cols.codes, dtype=np.int64))
+    low = codes & 3
+    split = (low & 1).astype(np.bool_)
+    start = 4 * np.arange(len(codes)) + 2 * (np.cumsum(split) - split)
+    lines = np.empty(4 * len(codes) + 2 * len(cols.crossed), dtype=np.intp)
+    lines[start], lines[start + 2] = np.divmod(codes >> 2, n)
+    lines[start + 1] = arrow
+    lines[start + 3] = np.array(placed)[low]
+    at = start[split]
+    lines[at + 4] = n + len(glue) + np.argsort(np.array(cols.crossed, dtype=np.int64))
+    lines[at + 5] = np.where(low[split] == 1, upper_r, upper_l)
+    words = list(map(names.__getitem__, cols.spine))
+    words += glue
+    words += map("@gap({},{})/".format, cols.gaps, cols.ranks)
+    return join_words(np, words, np.concatenate((spine, [newline], lines)))
 
 
 def _placement_text(p: Placement) -> str:

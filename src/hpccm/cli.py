@@ -51,15 +51,27 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_check_file(args: argparse.Namespace) -> int:
     g = _parse(args.file)
-    columns = (map(g.names.__getitem__, col) for col in ham.rhombus_columns(g))
-    line = "rhombus median={}->{} left={} right={}\n".format
-    sys.stdout.write("".join(map(line, *columns)))
+    sys.stdout.write(_rhombus_lines(g, ham.rhombus_columns(g)))
     path = ham.hamiltonian_path(g)
     if path is None:
         print("hamiltonian: none")
     else:
         print("hamiltonian: " + ",".join(g.names[v] for v in path))
     return 0
+
+
+def _rhombus_lines(g: gm.EmbeddedDigraph, columns: tuple[list[int], ...]) -> str:
+    """A line per rhombus, by :func:`~hpccm.hamiltonicity.rhombus_columns`'
+    median tail and head and left and right apexes."""
+    np = gm.backend(g.n)
+    if np is None:
+        line = "rhombus median={}->{} left={} right={}\n".format
+        return "".join(map(line, *(map(g.names.__getitem__, col) for col in columns)))
+    glue = ("rhombus median=", "->", " left=", " right=", "\n")
+    median, arrow, left, right, end = range(g.n, g.n + len(glue))
+    a, b, c, d = columns
+    ids = gm.word_rows(np, len(a), median, a, arrow, b, left, c, right, d, end)
+    return gm.join_words(np, [*g.names, *glue], ids)
 
 
 def _cmd_check_random(args: argparse.Namespace) -> int:
@@ -133,8 +145,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _print_solution(ot: gm.OTStDigraph, result: sv.HpCompletionResult) -> None:
-    """The answer from its position columns, each mapped to names once,
-    written in one call."""
+    """The answer from its position columns, written in one call.  Numpy
+    lays out large instances (:func:`_solution_np`)."""
+    np = gm.backend(ot.n)
+    sys.stdout.write(
+        _solution_py(ot, result) if np is None else _solution_np(np, ot, result)
+    )
+
+
+def _solution_py(ot: gm.OTStDigraph, result: sv.HpCompletionResult) -> str:
+    """:func:`_print_solution`'s text in pure Python, the reference: each
+    column mapped to names once."""
     path, tails, heads, starts, xs, ys = sv.result_columns(ot, result).lists()
     at = list(map(ot.base.names.__getitem__, ot.arrays.cyc))  # name per position
     path, tails, heads, xs, ys = (
@@ -145,9 +166,49 @@ def _print_solution(ot: gm.OTStDigraph, result: sv.HpCompletionResult) -> None:
         f"add {a}->{b} crosses [{','.join(crossed[i:j])}]\n"
         for a, b, i, j in zip(tails, heads, starts, starts[1:])
     ]
-    sys.stdout.write(
-        f"crossings={result.total_crossings}\npath={','.join(path)}\n" + "".join(adds)
+    head = f"crossings={result.total_crossings}\npath={','.join(path)}\n"
+    return head + "".join(adds)
+
+
+def _solution_np(np, ot: gm.OTStDigraph, result: sv.HpCompletionResult) -> str:
+    """:func:`_print_solution`'s text as word ids (see
+    :func:`~hpccm.graph_model.join_words`): the names by boundary-cycle
+    position, the glue after them.  Completion edge i is laid out at
+    5 i + 4 starts[i], its five words, then four per edge it crosses.  It
+    crosses at least one: its ends are not adjacent, and every interior
+    face is a triangle."""
+    c = sv.result_columns(ot, result)
+    n = ot.n
+    glue = (
+        f"crossings={result.total_crossings}\npath=",
+        ",",
+        "\nadd ",
+        "->",
+        " crosses [",
+        "]",
+        "\n",
     )
+    header, comma, add, arrow, crosses, closed, end = range(n, n + len(glue))
+    path = gm.word_rows(np, len(c.path), comma, c.path)
+    path[0] = header
+    starts = np.asarray(c.starts, dtype=np.intp)
+    start = 5 * np.arange(len(starts)) + 4 * starts  # edge i's first word; the end
+    adds = np.full(start[-1], comma, dtype=np.intp)
+    first = start[:-1]
+    adds[first] = add
+    adds[first + 1] = c.tails
+    adds[first + 2] = arrow
+    adds[first + 3] = c.heads
+    adds[first + 4] = crosses
+    # per crossing: its edge + 1
+    edge = np.repeat(np.arange(1, len(starts)), np.diff(starts))
+    at = 5 * edge + 4 * np.arange(starts[-1])
+    adds[at] = c.xs
+    adds[at + 1] = arrow
+    adds[at + 2] = c.ys
+    adds[start[1:] - 1] = closed
+    words = list(map(ot.base.names.__getitem__, ot.arrays.cyc))  # name per position
+    return gm.join_words(np, words + list(glue), np.concatenate((path, adds, [end])))
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:

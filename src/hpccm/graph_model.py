@@ -704,12 +704,15 @@ def _valid_np(np, g: EmbeddedDigraph) -> bool:
     """Whether :func:`_validate_py` passes, decided on the slot arrays, in
     O(m) on an OT-st-digraph.
 
-    Degrees by ``bincount``.  Stepping from each vertex to its least
-    in-neighbour, by pointer jumping in log2(n) rounds, must reach s, so the
-    graph is connected.  The faces are the cycles of the permutation ``nxt``
-    (:func:`face_next`), in three classes: the triangles, the slots i with
-    ``nxt[i] != i`` and ``nxt`` thrice back to i; the outer face, the walk
-    :attr:`EmbeddedDigraph.outer`, which must contain t; and the rest,
+    Degrees by ``bincount``.  Stepping from each vertex to an in-neighbour,
+    by pointer jumping in log2(n) rounds, must reach s, so the graph is
+    connected.  Any in-neighbour will do, and one plain scatter stores one:
+    in a valid graph every chain of in-edges ends at the only source, s,
+    and a graph whose every vertex reaches s is connected, whichever
+    in-neighbour was stored.  The faces are the cycles of the permutation
+    ``nxt`` (:func:`face_next`), in three classes: the triangles, the slots
+    i with ``nxt[i] != i`` and ``nxt`` thrice back to i; the outer face, the
+    walk :attr:`EmbeddedDigraph.outer`, which must contain t; and the rest,
     compressed into a sub-permutation whose cycles are each labelled with
     their least slot by pointer jumping.  An OT-st-digraph has no rest.
     With tri / 3 + 1 + (the rest's cycles) faces, V - E + F = 2 makes the
@@ -757,8 +760,8 @@ def _valid_np(np, g: EmbeddedDigraph) -> bool:
         return False
     if (tail[twin] != head).any():
         return False  # a twin outside its head's row
-    back = np.full(n, n - 1, dtype=np.intc)
-    np.minimum.at(back, head[out], tail[out])  # the least in-neighbour
+    back = np.empty(n, dtype=np.intc)
+    back[head[out]] = tail[out]  # some in-neighbour: s alone has none
     back[g.s] = g.s
     span = 1
     while span < n:
@@ -1237,12 +1240,92 @@ def _read_py(data: dict, names: list[str], ids: dict[str, int]) -> EmbeddedDigra
     return g
 
 
+# Words per gather in join_words.
+_BLOCK = 1 << 12
+
+
+def word_rows(np, rows: int, *columns):
+    """Word ids (see :func:`join_words`) laid out row by row: row i is
+    ``columns[0][i], columns[1][i], ...``, where a column is an id array or
+    one id repeated on every row."""
+    ids = np.empty((rows, len(columns)), dtype=np.intp)
+    for j, column in enumerate(columns):
+        ids[:, j] = column
+    return ids.ravel()
+
+
+def join_words(np, words: list[str], ids) -> str:
+    """``"".join(words[i] for i in ids)``: gathers from an object array of
+    ``words`` and joins.  The large writers put each name in ``words`` once
+    and their glue after the names, so a text of any size is one array of
+    ids, built with numpy, and no line is a string of its own.  The words
+    are gathered and joined ``_BLOCK`` ids at a time, so that no array or
+    list holds a reference per word of the whole text."""
+    table = np.array(words, dtype=object)
+    blocks = range(0, len(ids), _BLOCK)
+    return "".join(["".join(table[ids[i : i + _BLOCK]].tolist()) for i in blocks])
+
+
 def serialize_graph(g: EmbeddedDigraph) -> str:
     """Canonical JSON text; parse_graph round-trips it bit-exactly.  It is
     ``json.dumps`` of the format object with ``indent=2``, written out
     directly with each name quoted once: the edges in key order, which
-    sorts them, the rows' names mapped in one pass over ``nbr``."""
+    sorts them, the rows' names mapped in one pass over ``nbr``.  Numpy
+    lays out large graphs (:func:`_serialize_np`)."""
     q = list(map(encode_basestring_ascii, g.names))
+    np = backend(g.n)
+    return _serialize_py(g, q) if np is None else _serialize_np(np, g, q)
+
+
+def _serialize_np(np, g: EmbeddedDigraph, q: list[str]) -> str:
+    """:func:`serialize_graph`'s text as one column of word ids: the quoted
+    names ``q`` by vertex id, the glue after them.  Row v is laid out at
+    3 v + 2 off[v]: the glue before its name, its name, the glue before its
+    first slot, then each slot's name and the glue after it."""
+    n, m, slots = g.n, g.m, len(g.nbr)
+    glue = (
+        '{\n  "vertices": [\n    ',
+        ",\n    ",
+        '\n  ],\n  "source": ',
+        ',\n  "sink": ',
+        ',\n  "edges": [\n    [\n      ' if m else ',\n  "edges": []',
+        "\n    ],\n    [\n      ",
+        ",\n      ",
+        '\n    ]\n  ],\n  "rotation": {\n    ' if m else ',\n  "rotation": {\n    ',
+        ": [\n      ",
+        ": []",
+        "\n    ]",
+        "\n  }\n}\n",
+    )
+    opened, sep, source, sink, edges, edge, item, rotation, row, empty, closed, end = (
+        range(n, n + len(glue))
+    )
+    vertices = word_rows(np, n, sep, np.arange(n))
+    vertices[0] = opened
+    tails, heads = np.divmod(np.frombuffer(g.keys, dtype=np.int64), n)
+    off = np.frombuffer(g.off, dtype=np.intc).astype(np.intp)
+    deg = np.diff(off)
+    start = 3 * np.arange(n + 1) + 2 * off  # row v's first word; the end
+    rows = np.full(start[-1], item, dtype=np.intp)
+    rows[start[:-1]] = sep
+    rows[0] = rotation
+    rows[start[:-1] + 1] = np.arange(n)
+    rows[start[:-1] + 2] = np.where(deg > 0, row, empty)
+    tail = np.repeat(np.arange(n), deg)
+    rows[3 * tail + 2 * np.arange(slots) + 3] = np.frombuffer(g.nbr, dtype=np.intc)
+    rows[start[1:][deg > 0] - 1] = closed
+    ids = (
+        vertices,
+        [source, g.s, sink, g.t, edges],
+        word_rows(np, m, edge, tails, item, heads)[1:],
+        rows,
+        [end],
+    )
+    return join_words(np, q + list(glue), np.concatenate(ids))
+
+
+def _serialize_py(g: EmbeddedDigraph, q: list[str]) -> str:
+    """:func:`serialize_graph` in pure Python, the reference."""
     n, off = g.n, g.off
     qn = list(map(q.__getitem__, g.nbr))
 

@@ -93,6 +93,39 @@ def fan_polygon() -> OTStDigraph:
     )
 
 
+def wide_crossing_polygon(left: int, apex: int, right: int) -> OTStDigraph:
+    """``five_crossing_polygon`` scaled: one polygon on chains u1..u<left>
+    and v1..v<right>, chords out of s to u2..u<apex> and into t from
+    u<apex>..u<left - 1>, the median (s, t) and a fan out of v1.  Entering
+    from the left costs 1 + (left - apex) crossings, from the right
+    2 + (apex - 1); (8, 4, 4) is ``five_crossing_polygon`` itself."""
+    names = ["s", *(f"u{i}" for i in range(1, left + 1))]
+    names += [*(f"v{j}" for j in range(1, right + 1)), "t"]
+    n = len(names)
+    s, t, v1 = 0, n - 1, left + 1
+    cycle = [*range(left + 1), t, *range(left + right, left, -1)]
+    chords = [(s, i) for i in range(2, apex + 1)] + [(i, t) for i in range(apex, left)]
+    chords += [(s, t), *((v1, j) for j in range(v1 + 2, t)), (v1, t)]
+    return oracle_gen._from_cycle(
+        names=names, cycle=cycle, heights=list(range(n)), chords=chords
+    )
+
+
+def odd_names(n: int) -> tuple[str, ...]:
+    """``n`` distinct names that the byte reader declines or that test its
+    widths, in turn: one character (1 byte while n < 378), a quote, a
+    backslash, non-ASCII, exactly 8 bytes, and more than 8 bytes."""
+    kinds = (
+        lambda i: chr(0x41 + i // 6),
+        lambda i: f'"{i}',
+        lambda i: f"\\{i}",
+        lambda i: f"é☃{i}",
+        lambda i: f"{i:08d}",
+        lambda i: f"longer-than-8-{i}",
+    )
+    return tuple(kinds[i % 6](i) for i in range(n))
+
+
 def corpus_profiles(count: int = 160) -> list[GenProfile]:
     out = []
     for seed in range(count):

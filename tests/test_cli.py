@@ -284,6 +284,118 @@ def test_solve_and_embed_print_from_columns(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out == out
 
 
+def _writer_texts(ot) -> list[str]:
+    """What the four large writers write for ``ot``: the graph file, the
+    rhombus lines of ``check``, ``solve``'s answer and ``embed``'s text."""
+    import contextlib
+    import io
+
+    from hpccm import hamiltonicity, render_text, solve, to_book_embedding
+
+    g = ot.base
+    r = solve(ot)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_solution(ot, r)
+    return [
+        serialize_graph(g),
+        cli._rhombus_lines(g, hamiltonicity.rhombus_columns(g)),
+        out.getvalue(),
+        render_text(to_book_embedding(ot, r)),
+    ]
+
+
+def _counting_join(monkeypatch) -> list:
+    """Count the calls of ``join_words``, where every numpy writer ends."""
+    import hpccm.book_embedding
+
+    calls, join = [], gm.join_words
+
+    def counted(np, words, ids):
+        calls.append(len(ids))
+        return join(np, words, ids)
+
+    monkeypatch.setattr(gm, "join_words", counted)
+    monkeypatch.setattr(hpccm.book_embedding, "join_words", counted)
+    return calls
+
+
+def test_numpy_writers_match_pure(kernel_corpus, monkeypatch):
+    # At the threshold 0 the writers lay out every text as word ids; the
+    # pure bodies above the corpus's sizes are the reference, byte for
+    # byte, split edges and crossing lists of every length included.
+    pytest.importorskip("numpy")
+    from hpccm import GenProfile, random_ot
+
+    draws = [random_ot(GenProfile(300, 400, b, seed=3)) for b in (0, 0.5, 0.9, 1)]
+    instances = [*kernel_corpus, *draws]
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 10**9)
+    expected = [_writer_texts(ot) for ot in instances]
+    calls = _counting_join(monkeypatch)
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    for ot, texts in zip(instances, expected):
+        assert _writer_texts(ot) == texts
+    assert len(calls) == 4 * len(instances)
+
+
+def test_writers_keep_every_name(tmp_path, capsys, monkeypatch):
+    # The numpy writers gather the names as given, so names the byte
+    # reader declines print as the pure writers print them: quotes,
+    # backslashes, non-ASCII, and names of 1, 8 and more than 8 bytes.
+    pytest.importorskip("numpy")
+    from dataclasses import replace
+
+    from hpccm import GenProfile, classify_ot, parse_graph, polygon_stack, random_ot
+
+    from conftest import odd_names
+
+    drawn = random_ot(GenProfile(6, 9, 0.5, 3))
+    graphs = [five_crossing_polygon(), polygon_stack(9), drawn]
+    calls = _counting_join(monkeypatch)
+    for i, ot in enumerate(graphs):
+        g = replace(ot.base, names=odd_names(ot.n))
+        path = tmp_path / f"g{i}.json"
+        seen = []
+        for threshold in (gm.NUMPY_MIN_N, 0):
+            monkeypatch.setattr(gm, "NUMPY_MIN_N", threshold)
+            text = serialize_graph(g)
+            back = parse_graph(text)
+            assert back.names == g.names and serialize_graph(back) == text
+            path.write_text(text, encoding="utf-8")
+            outs = []
+            for command in ("check", "solve", "embed"):
+                assert run([command, str(path)]) == 0
+                outs.append(capsys.readouterr().out)
+            seen.append((text, outs, _writer_texts(classify_ot(g))))
+        assert seen[0] == seen[1]
+    assert calls
+
+
+def test_long_crossing_lists_at_numpy_sizes(tmp_path, capsys, monkeypatch):
+    # One polygon of n = 15202 whose completion edge crosses 601 edges
+    # from either side: solve and embed print the same at the default
+    # threshold, where numpy runs every layer, and with it above n.
+    from conftest import wide_crossing_polygon
+
+    assert serialize_graph(wide_crossing_polygon(8, 4, 4).base) == serialize_graph(
+        five_crossing_polygon().base
+    )
+    ot = wide_crossing_polygon(1200, 600, 14000)
+    assert ot.n >= gm.NUMPY_MIN_N
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_graph(ot.base), encoding="utf-8")
+    seen = []
+    for threshold in (gm.NUMPY_MIN_N, ot.n + 1):
+        monkeypatch.setattr(gm, "NUMPY_MIN_N", threshold)
+        outs = []
+        for command in ("solve", "embed"):
+            assert run([command, str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        seen.append(outs)
+    assert seen[0] == seen[1]
+    assert seen[0][0].startswith("crossings=601\n")
+
+
 def test_embed_reports_invalid_solver_answer_as_internal(f9_file, capsys, monkeypatch):
     # embed and render leave the check to to_book_embedding; an answer it
     # rejects is still a verification failure, exit status 2.

@@ -816,6 +816,23 @@ def test_serialize_is_indented_json_dumps(corpus):
             assert serialize_graph(h) == json.dumps(data, indent=2) + "\n"
 
 
+def test_serialize_numpy_form_writes_empty_rows(monkeypatch):
+    # The word-id form writes what the pure form writes also for graphs
+    # that no parse accepts: no edges at all, and a vertex whose rotation
+    # row is empty.
+    pytest.importorskip("numpy")
+    rows = {"s": ["t"], "x": [], "t": ["s"]}
+    graphs = [
+        build_graph(["a"], "a", "a", [], {"a": []}, validate=False),
+        build_graph(["a", "b"], "a", "b", [], {"a": [], "b": []}, validate=False),
+        build_graph(["s", "x", "t"], "s", "t", [("s", "t")], rows, validate=False),
+    ]
+    expected = [serialize_graph(g) for g in graphs]
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    assert [serialize_graph(g) for g in graphs] == expected
+    assert '"x": []' in expected[2] and '"edges": []' in expected[1]
+
+
 def test_edge_count_formula(corpus):
     for ot in corpus:
         n = ot.base.n
