@@ -23,7 +23,7 @@ position, which faces the outer face.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from typing import NamedTuple, Optional, Union
 
 from .core import Deferred
@@ -55,10 +55,11 @@ class PageArc:
     page: str  # 'L' or 'R'
 
 
-# The two whole-arc placements, shared, by the low bits 2 p + f of a page
-# code (p = 1 for page R).
-_L, _R = PageArc("L"), PageArc("R")
-_BY_CODE = (_L, _L, _R, _R)
+# The whole-arc placements, shared, by the low bits 2 p + f of a page code
+# (p = 1 for page R at the lower end, f = 1 if the page changes on the
+# way).  An arc whose page changes without a spine crossing, which no made
+# embedding has, reads as page "LR" or "RL".
+_BY_CODE = (PageArc("L"), PageArc("LR"), PageArc("R"), PageArc("RL"))
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def to_book_embedding(g: OTStDigraph, r: HpCompletionResult) -> BookEmbedding:
     cols = _pages(g, result_columns(g, r))
     _check_sides(g, cols)
     return BookEmbedding.deferred(
-        lambda: _records(g.base, cols), names=g.base.names, columns=cols
+        lambda: _records(cols), names=g.base.names, columns=cols
     )
 
 
@@ -175,18 +176,27 @@ def _check_sides(g: OTStDigraph, cols: PageColumns) -> None:
             raise GraphError("internal", f"crossed edge {name} keeps its side")
 
 
-def _records(base: EmbeddedDigraph, cols: PageColumns) -> dict:
-    """Spine, placements and spine crossings of a made embedding."""
+def _records(cols: PageColumns) -> dict:
+    """Spine, placements and spine crossings that a made embedding's
+    columns stand for: each code places the arc between the vertices at
+    its spine ranks, and each crossing splits the arc whose code holds its
+    key, from page p to page p xor f.  So a code of no edge, a split code
+    without a crossing, a crossing of an arc whose code keeps its page and
+    a crossing of no code each show as a fault that :func:`_record_faults`
+    names."""
     n, spine = cols.n, cols.spine
     crossings = tuple(
         SpineCrossing(edge=(spine[k // n], spine[k % n]), gap=gap, rank_in_gap=j)
         for k, gap, j in zip(cols.crossed, cols.gaps, cols.ranks)
     )
-    assignment = {e: _BY_CODE[c & 3] for e, c in zip(base.pairs(), cols.codes)}
-    for crossing in crossings:
-        lower = assignment[crossing.edge].page
-        assignment[crossing.edge] = SplitArc(
-            lower_page=lower, crossing=crossing, upper_page="R" if lower == "L" else "L"
+    split = dict(zip(cols.crossed, crossings))
+    assignment: dict[DirectedEdge, Placement] = {}
+    for c in cols.codes:
+        x = split.get(k := c >> 2)
+        assignment[spine[k // n], spine[k % n]] = (
+            _BY_CODE[c & 3]
+            if x is None
+            else SplitArc("LR"[c >> 1 & 1], x, "LR"[(c >> 1 ^ c) & 1])
         )
     return {"spine": tuple(spine), "assignment": assignment, "crossings": crossings}
 
@@ -201,10 +211,108 @@ def validate_embedding(g: EmbeddedDigraph, b: BookEmbedding) -> list[str]:
     assignment covers exactly the edge set, split halves use opposite
     pages and cross strictly between their endpoints, crossings sit only
     in gaps whose spine pair is not an edge, ranks within a gap are
-    0..k-1, and no two same-page arcs interleave.  O(m log m): one sort
-    and stack scan per page, on integer spine coordinates, names each arc
-    that interleaves the innermost open arc where it starts.
+    0..k-1, and no two same-page arcs interleave.  An embedding that
+    :func:`to_book_embedding` made is checked on its columns
+    (:func:`_column_gaps`), and the records it stands for are built only
+    to name what fails; one built by hand is checked on its records
+    (:func:`_record_faults`).  O(m log m) plus O(C log C) for C crossings.
     """
+    cols = b.columns
+    if cols is None:
+        return _record_faults(g, b)
+    if _column_gaps(g, cols) is not None:
+        return []
+    out = _record_faults(g, b)
+    if not out:
+        raise GraphError(
+            "internal", "the column check rejects an embedding no message names"
+        )
+    return out
+
+
+def _column_gaps(g: EmbeddedDigraph, cols: PageColumns) -> Optional[list[int]]:
+    """The column check: None if :func:`_record_faults` finds a fault in
+    the records that ``cols`` stand for (:func:`_records`), else the gaps
+    of the completion edges, the spine pairs that are no edges.
+
+    Read off the columns: the spine is a permutation of the vertices; the
+    crossings are in (gap, rank) order with ranks 0..k-1 in each gap; each
+    edge's code holds lo * n + hi for the spine ranks lo < hi of its ends;
+    the split codes are exactly the crossed ones; each crossing lies
+    inside its edge's span, in a gap whose spine pair is no edge; and the
+    arcs on each page nest (one sort and one stack scan on integer spine
+    coordinates)."""
+    n, spine, codes = g.n, cols.spine, cols.codes
+    crossed, gaps, ranks = cols.crossed, cols.gaps, cols.ranks
+    if cols.n != n or len(codes) != g.m or sorted(spine) != list(range(n)):
+        return None
+    first: dict[int, int] = {}  # per gap with crossings, its first index
+    if (
+        len(gaps) != len(crossed)
+        or gaps != sorted(gaps)
+        or ranks != [i - first.setdefault(gap, i) for i, gap in enumerate(gaps)]
+        or (gaps and (gaps[0] < 0 or gaps[-1] >= n - 1))
+    ):
+        return None
+    # Integer spine coordinates: each vertex, then its gap's crossings in
+    # rank order, so crossing i sits at gaps[i] + i + 1.  Page R's copy of
+    # the spine follows page L's, w further on.
+    per = [1] * n
+    for gap in gaps:
+        per[gap] += 1
+    at = list(accumulate(per, initial=0))
+    w = at[n]
+    on_r = [x + w for x in at]
+    on = (at, at, on_r, on_r)  # by the low bits of a code: the lower end's page
+    rank = sorted(range(n), key=spine.__getitem__)  # the inverse permutation
+    joined = bytearray(n)  # per gap, 1 if an edge joins its spine pair
+    split: list[int] = []
+    arcs: list[tuple[int, int]] = []  # (lo, -hi): by left end, outer first
+    for (u, v), c in zip(g.pairs(), codes):
+        lo, hi = rank[u], rank[v]
+        if c >> 2 != lo * n + hi or lo >= hi:
+            return None
+        if c & 1:
+            split.append(c)
+        elif hi - lo > 1:
+            a = on[c & 3]
+            arcs.append((a[lo], -a[hi]))
+        else:  # a spine pair, which no crossing may split: nothing interleaves it
+            joined[lo] = 1
+    # The keys are distinct, so the split ones are the crossed ones once each.
+    if sorted([c >> 2 for c in split]) != sorted(crossed):
+        return None
+    where = dict(zip(crossed, zip(gaps, count(1))))  # key: gap, index + 1
+    for c in split:
+        lo, hi = divmod(c >> 2, n)
+        gap, i = where[c >> 2]
+        if not lo <= gap < hi:
+            return None
+        if hi - lo == 1:
+            joined[lo] = 1
+        lower, upper = (on_r, at) if c & 2 else (at, on_r)
+        x = gap + i  # the crossing, on page L's copy; a copy's [0] is its shift
+        arcs += ((lower[lo], -lower[0] - x), (upper[0] + x, -upper[hi]))
+    if any(joined[gap] for gap in first):
+        return None
+    # Sorted by left end, outer first, arcs nest exactly when each ends no
+    # later than the innermost arc still open at its start; no arc of page
+    # L is open on page R's copy.
+    arcs.sort()
+    stack = [2 * w]
+    for lo, hi in arcs:
+        while stack[-1] <= lo:
+            stack.pop()
+        if stack[-1] < -hi:
+            return None
+        stack.append(-hi)
+    return [i for i in range(n - 1) if not joined[i]]
+
+
+def _record_faults(g: EmbeddedDigraph, b: BookEmbedding) -> list[str]:
+    """:func:`validate_embedding`'s messages from the records.  One sort
+    and stack scan per page, on integer spine coordinates, names each arc
+    that interleaves the innermost open arc where it starts."""
     out: list[str] = []
     n = g.n
     spine, assignment = b.spine, b.assignment  # b may be a Deferred: read once
@@ -290,7 +398,12 @@ def from_book_embedding(
 ) -> HpCompletionResult:
     """Read a completion back off a valid embedding: completion edges are
     the consecutive spine pairs missing from the graph, crossed in each
-    gap bottom-to-top."""
+    gap bottom-to-top.  An embedding that :func:`to_book_embedding` made
+    is checked and read on its columns, and builds no records."""
+    cols = b.columns
+    tails = None if cols is None else _column_gaps(g, cols)
+    if tails is not None:
+        return _read_columns(cols, tails)
     violations = validate_embedding(g, b)
     if violations:
         raise GraphError("invalid-embedding", violations[0])
@@ -311,6 +424,26 @@ def from_book_embedding(
         completion_edges=tuple(completion),
         crossings=tuple(crossings),
         total_crossings=len(b.crossings),
+    )
+
+
+def _read_columns(cols: PageColumns, tails: list[int]) -> HpCompletionResult:
+    """The completion of columns that :func:`_column_gaps` accepted, with
+    completion edges over the gaps ``tails``: the crossings are in (gap,
+    rank) order and only in those gaps."""
+    n, spine, crossed = cols.n, cols.spine, cols.crossed
+    end = dict(zip(cols.gaps, count(1)))  # past a gap's last crossing
+    crossings: list[tuple[DirectedEdge, ...]] = []
+    at = 0
+    for i in tails:
+        j = end.get(i, at)
+        crossings.append(tuple((spine[k // n], spine[k % n]) for k in crossed[at:j]))
+        at = j
+    return HpCompletionResult(
+        path=tuple(spine),
+        completion_edges=tuple((spine[i], spine[i + 1]) for i in tails),
+        crossings=tuple(crossings),
+        total_crossings=len(crossed),
     )
 
 

@@ -119,21 +119,24 @@ def _cmd_check_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    """One line per element of the decomposition, read off the kernel's
+    columns (see :class:`~hpccm.core.Layout`) with the names per boundary
+    position, and written in one call."""
     ot = _load_ot(args.file)
-    names = ot.base.names
-    d = dec.decompose(ot)
-    for el in d.elements:
-        if isinstance(el, dec.FreeVertex):
-            print(f"F {names[el.vertex]}")
-        else:
-            left = ",".join(names[v] for v in el.left_chain)
-            right = ",".join(names[v] for v in el.right_chain)
-            print(
-                f"P {names[el.source]} {names[el.sink]} "
-                f"median={ot.base.name_edge(el.median)} "
-                f"left=[{left}] right=[{right}]"
-            )
-    print("shared: " + " ".join(str(c) for c in d.shared))
+    n = ot.n
+    kinds = dec.Layout.COLUMNS[:7]  # poly, src, snk and the chains' ranges
+    col = dec.decompose(ot).layout.lists(*kinds, "shared")
+    at = list(map(ot.base.names.__getitem__, ot.arrays.cyc))  # name per position
+    lines = [
+        f"P {at[u]} {at[v]} median={at[u]}->{at[v]} "
+        f"left=[{','.join(at[lo_l : hi_l + 1])}] "
+        f"right=[{','.join(at[n - lo_r : n - hi_r - 1 : -1])}]\n"
+        if poly
+        else f"F {at[u]}\n"
+        for poly, u, v, lo_l, hi_l, lo_r, hi_r in zip(*map(col.get, kinds))
+    ]
+    lines.append("shared: " + " ".join(map(str, col["shared"])) + "\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 

@@ -7,10 +7,13 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import hpccm.book_embedding as be
 import hpccm.graph_model as gm
 import hpccm.solver
 from hpccm import (
@@ -561,3 +564,300 @@ def test_forced_counts_match_interleaving_edges(oracle_corpus, monkeypatch, nump
         )
     assert counted > 2000
     assert joined > 500
+
+
+# Corruptions of a made embedding's columns (see PageColumns); each
+# returns None where it does not apply.
+
+
+def _made(g, cols) -> BookEmbedding:
+    """The embedding ``cols`` make, built as to_book_embedding builds one:
+    its records are read off the columns when first asked for."""
+    return BookEmbedding.deferred(
+        lambda: be._records(cols), names=g.names, columns=cols
+    )
+
+
+def _with_code(cols, j: int, code: int):
+    codes = list(cols.codes)
+    codes[j] = code
+    return cols._replace(codes=codes)
+
+
+def flip_arc_page(ot, cols):
+    """The first whole arc that spans a vertex moves to the other page."""
+    for j, c in enumerate(cols.codes):
+        lo, hi = divmod(c >> 2, cols.n)
+        if not c & 1 and hi - lo > 1:
+            return _with_code(cols, j, c ^ 2)
+    return None
+
+
+def split_bit_uncrossed(ot, cols):
+    j = next((j for j, c in enumerate(cols.codes) if not c & 1), None)
+    return None if j is None else _with_code(cols, j, cols.codes[j] | 1)
+
+
+def swap_column_ranks(ot, cols):
+    for i, (a, b) in enumerate(zip(cols.gaps, cols.gaps[1:])):
+        if a == b:
+            ranks = list(cols.ranks)
+            ranks[i], ranks[i + 1] = ranks[i + 1], ranks[i]
+            return cols._replace(ranks=ranks)
+    return None
+
+
+def drop_column_crossing(ot, cols):
+    """The last crossing entry goes; its edge keeps its split code."""
+    if not cols.crossed:
+        return None
+    return cols._replace(
+        crossed=cols.crossed[:-1], gaps=cols.gaps[:-1], ranks=cols.ranks[:-1]
+    )
+
+
+def _moved(cols, i: int, to: int):
+    """Crossing i moved to gap ``to``, last in it, with every gap's ranks
+    0..k-1 again."""
+    rows = sorted(
+        (to, cols.n, key) if x == i else (gap, j, key)
+        for x, (key, gap, j) in enumerate(zip(cols.crossed, cols.gaps, cols.ranks))
+    )
+    first: dict[int, int] = {}
+    return cols._replace(
+        crossed=[key for *_, key in rows],
+        gaps=[gap for gap, *_ in rows],
+        ranks=[t - first.setdefault(gap, t) for t, (gap, *_) in enumerate(rows)],
+    )
+
+
+def gap_outside_span(ot, cols):
+    """A crossing moves to the gap just above its edge, or just below it
+    where the edge reaches the top vertex."""
+    n = cols.n
+    for i, k in enumerate(cols.crossed):
+        lo, hi = divmod(k, n)
+        to = hi if hi < n - 1 else lo - 1
+        if to >= 0:
+            return _moved(cols, i, to)
+    return None
+
+
+def crossing_in_edge_gap(ot, cols):
+    """A crossing moves to a gap inside its edge's span whose spine pair is
+    an edge."""
+    spine = cols.spine
+    for i, k in enumerate(cols.crossed):
+        lo, hi = divmod(k, cols.n)
+        for to in range(lo, hi):
+            if ot.base.has_edge((spine[to], spine[to + 1])):
+                return _moved(cols, i, to)
+    return None
+
+
+def swap_gap_groups(ot, cols):
+    """The crossings of the first two gaps that have any trade places in
+    the columns, each gap's in rank order."""
+    gaps = cols.gaps
+    if not gaps or gaps[-1] == gaps[0]:
+        return None
+    i = bisect_right(gaps, gaps[0])
+    j = bisect_right(gaps, gaps[i])
+    order = [*range(i, j), *range(i), *range(j, len(gaps))]
+    return cols._replace(
+        crossed=[cols.crossed[x] for x in order],
+        gaps=[gaps[x] for x in order],
+        ranks=[cols.ranks[x] for x in order],
+    )
+
+
+def code_of_no_edge(ot, cols):
+    """An uncrossed code's arc moves its upper end to a vertex it has no
+    edge to."""
+    n = cols.n
+    taken = {c >> 2 for c in cols.codes}
+    for j, c in enumerate(cols.codes):
+        if c & 1:
+            continue
+        lo = (c >> 2) // n
+        hi = next((hi for hi in range(lo + 1, n) if lo * n + hi not in taken), None)
+        if hi is not None:
+            return _with_code(cols, j, (lo * n + hi) << 2 | c & 3)
+    return None
+
+
+def downward_edge(ot, cols):
+    """The first spine pair that is an edge trades places, the codes and
+    crossed keys encoded again for the new ranks."""
+    n, spine = cols.n, cols.spine
+    i = next(
+        (i for i in range(n - 1) if ot.base.has_edge((spine[i], spine[i + 1]))), None
+    )
+    if i is None:
+        return None
+    new = [*spine[:i], spine[i + 1], spine[i], *spine[i + 2 :]]
+    rank = {v: r for r, v in enumerate(new)}
+
+    def moved(k: int) -> int:
+        return rank[spine[k // n]] * n + rank[spine[k % n]]
+
+    return cols._replace(
+        spine=new,
+        codes=[moved(c >> 2) << 2 | c & 3 for c in cols.codes],
+        crossed=[moved(k) for k in cols.crossed],
+    )
+
+
+def reverse_column_spine(ot, cols):
+    return cols._replace(spine=cols.spine[::-1])
+
+
+def repeat_spine_vertex(ot, cols):
+    """A vertex x after x - 1 on the spine becomes x - 1 again: the spine
+    sorts into the same order, so only the permutation check sees it."""
+    spine = list(cols.spine)
+    pos = {v: i for i, v in enumerate(spine)}
+    x = next((x for x in range(1, cols.n) if pos[x] > pos[x - 1]), None)
+    if x is None:
+        return None
+    spine[pos[x]] = x - 1
+    return cols._replace(spine=spine)
+
+
+def move_split_bit(ot, cols):
+    """The first crossed edge keeps its page and the first uncrossed one
+    changes it: as many split codes as crossings."""
+    i = next((j for j, c in enumerate(cols.codes) if c & 1), None)
+    j = next((j for j, c in enumerate(cols.codes) if not c & 1), None)
+    if i is None or j is None:
+        return None
+    return _with_code(_with_code(cols, i, cols.codes[i] ^ 1), j, cols.codes[j] | 1)
+
+
+def split_path_edge(ot, cols):
+    """A spine pair that is an edge gets a spine crossing in its own gap."""
+    for j, c in enumerate(cols.codes):
+        lo, hi = divmod(c >> 2, cols.n)
+        if hi == lo + 1:
+            bad = _with_code(cols, j, c | 1)._replace(
+                crossed=[*cols.crossed, c >> 2],
+                gaps=[*cols.gaps, lo],
+                ranks=[*cols.ranks, 0],
+            )
+            return _moved(bad, len(cols.crossed), lo)
+    return None
+
+
+def gap_off_the_spine(ot, cols):
+    return _moved(cols, 0, cols.n) if cols.crossed else None
+
+
+COLUMN_CORRUPTIONS = {
+    "page flip": flip_arc_page,
+    "split bit": split_bit_uncrossed,
+    "swapped ranks": swap_column_ranks,
+    "dropped crossing": drop_column_crossing,
+    "gap outside span": gap_outside_span,
+    "crossing in edge gap": crossing_in_edge_gap,
+    "reversed spine": reverse_column_spine,
+    "swapped gaps": swap_gap_groups,
+    "code of no edge": code_of_no_edge,
+    "downward edge": downward_edge,
+    "repeated vertex": repeat_spine_vertex,
+    "moved split bit": move_split_bit,
+    "split path edge": split_path_edge,
+    "gap off the spine": gap_off_the_spine,
+    "wrong n": lambda ot, cols: cols._replace(n=cols.n - 1),
+    "dropped code": lambda ot, cols: cols._replace(codes=cols.codes[:-1]),
+    "crossing without gap": lambda ot, cols: (
+        cols._replace(gaps=cols.gaps[:-1], ranks=cols.ranks[:-1]) if cols.crossed else None
+    ),
+}
+
+
+def test_column_check_agrees_with_pairwise_oracle(oracle_corpus, gate_instances):
+    # The column check and the record body it falls back on give the
+    # verdict and messages the pairwise oracle gives on the records the
+    # corrupted columns stand for.
+    answers = _answers(oracle_corpus) + [(ot, solve(ot)) for ot in gate_instances]
+    applied, rejected = Counter(), Counter()
+    for ot, r in answers:
+        cols = to_book_embedding(ot, r).columns
+        for kind, corrupt in COLUMN_CORRUPTIONS.items():
+            bad = corrupt(ot, cols)
+            if bad is not None:
+                applied[kind] += 1
+                rejected[kind] += bool(_assert_same_verdict(ot.base, _made(ot.base, bad)))
+    assert min(applied[kind] for kind in COLUMN_CORRUPTIONS) >= 20, applied
+    # A flipped arc may still nest; each other corruption is a fault.
+    assert 20 <= rejected["page flip"] <= applied["page flip"] - 20
+    del applied["page flip"], rejected["page flip"]
+    assert rejected == applied
+
+
+def test_crossing_outside_its_span_where_the_arcs_nest():
+    # Edge s->b crosses the spine above b, in the gap under t, which no
+    # edge joins: its halves still nest, so only the span check sees it.
+    g = gm.EmbeddedDigraph.from_rows(
+        ("s", "a", "b", "t"),
+        0,
+        3,
+        [(0, 1), (0, 2), (0, 3), (1, 2)],
+        [(1, 2, 3), (0, 2), (1, 0), (0,)],
+    )
+    # Codes 4 (lo * n + hi) + 2 p + f in key order: s->a on L, s->b from
+    # L to R, s->t on R, a->b on L.
+    cols = be.PageColumns(
+        n=4, spine=[0, 1, 2, 3], codes=[4, 9, 14, 24], crossed=[2], gaps=[2], ranks=[0]
+    )
+    assert _assert_same_verdict(g, _made(g, cols)) == [
+        "crossing of s->b at gap 2 is outside its spine span"
+    ]
+
+
+def test_columns_rejected_without_message_is_internal(monkeypatch):
+    # A made embedding the column check rejects must be named by the
+    # record body; if it names nothing, the two disagree.
+    ot = polygon_stack(3)
+    bad = drop_column_crossing(ot, to_book_embedding(ot, solve(ot)).columns)
+    monkeypatch.setattr(be, "_record_faults", lambda *args: [])
+    with pytest.raises(GraphError, match="no message names") as err:
+        validate_embedding(ot.base, _made(ot.base, bad))
+    assert err.value.kind == "internal"
+
+
+def test_made_embeddings_build_no_records(corpus, f9, pfp, monkeypatch):
+    # validate_embedding and from_book_embedding read a made embedding's
+    # columns only.
+    def built(*args):
+        raise AssertionError("records built")
+
+    monkeypatch.setattr(be, "_records", built)
+    for ot in [*corpus, *map(polygon_stack, (1, 2, 3, 8, 60)), f9, pfp]:
+        r = solve(ot)
+        b = to_book_embedding(ot, r)
+        assert validate_embedding(ot.base, b) == []
+        assert from_book_embedding(ot.base, b) == r
+
+
+def test_column_reader_matches_record_reader(oracle_corpus):
+    # The same completion read off the columns and off the records
+    # (replace keeps no columns), on the oracle corpus and on draws up to
+    # n = 300.
+    rng = random.Random(24)
+    answers = _answers(oracle_corpus)
+    for _ in range(24):
+        prof = GenProfile(
+            rng.randint(1, 149), rng.randint(1, 149), rng.random(), rng.getrandbits(32)
+        )
+        ot = random_ot(prof)
+        answers.append((ot, solve(ot, check=False)))
+    large = 0
+    for ot, r in answers:
+        b = to_book_embedding(ot, r)
+        records = replace(b)
+        assert b.columns is not None and records.columns is None
+        back = from_book_embedding(ot.base, b)
+        assert back == from_book_embedding(ot.base, records) == r
+        large += ot.n > 150
+    assert large >= 8
