@@ -193,14 +193,12 @@ class EmbeddedDigraph:
 
     @cached_property
     def outer(self) -> array | None:
-        """:func:`outer_walk` of the graph, walked once: the numpy
-        validation stores it from the step table it builds, else it is
-        walked on first use.  :func:`classify_ot` and the rhombi read it at
-        numpy sizes."""
+        """:func:`outer_walk` of the graph, walked once: the validation
+        stores it from the step table it builds, else it is walked on
+        first use, by :func:`face_next` at numpy sizes and by
+        :func:`face_walks` below them.  :func:`classify_ot` and the rhombi read it."""
         np = backend(self.n)
-        return outer_walk(
-            self, next_slots(self) if np is None else memoryview(face_next(np, self))
-        )
+        return outer_walk(self, None if np is None else memoryview(face_next(np, self)))
 
     def name_edge(self, e: DirectedEdge) -> str:
         return f"{self.names[e[0]]}->{self.names[e[1]]}"
@@ -683,14 +681,17 @@ def face_next(np, g: EmbeddedDigraph):
     return before[np.frombuffer(g.twin, dtype=np.intc)]
 
 
-def outer_walk(g: EmbeddedDigraph, nxt: Sequence[int]) -> array | None:
+def outer_walk(g: EmbeddedDigraph, nxt: Sequence[int] | None = None) -> array | None:
     """The outer face's slots in walk order from :func:`outer_slot`, or None
     if the source has no slot or the walk is not back within the slot
     count.  ``nxt`` is each slot's next slot (:func:`next_slots`, or a
-    ``memoryview`` of :func:`face_next`).  O(outer face)."""
+    ``memoryview`` of :func:`face_next`); without it the walk is
+    :func:`face_walks`' from that slot.  O(outer face)."""
     if g.off[g.s] == g.off[g.s + 1]:
         return None  # no outer slot
     o = i = outer_slot(g)
+    if nxt is None:  # paired twins make the steps a permutation: it closes
+        return array("i", next(face_walks(g, [o])))
     walk = []
     for _ in range(len(nxt)):
         walk.append(i)
@@ -864,7 +865,9 @@ def _validate_py(g: EmbeddedDigraph) -> None:
             f"rotation system is not a planar embedding: V-E+F = "
             f"{n}-{g.m}+{count} != 2",
         )
-    if g.t not in map(nbr.__getitem__, outer_walk(g, nxt)):
+    if "outer" not in g.__dict__:  # g.outer, walked on this nxt
+        g.__dict__["outer"] = outer_walk(g, nxt)
+    if g.t not in map(nbr.__getitem__, g.outer):
         raise GraphError(
             "sink-not-on-outer-face",
             f"sink {g.names[g.t]} does not lie on the outer face",
@@ -1349,15 +1352,15 @@ def _serialize_py(g: EmbeddedDigraph, q: list[str]) -> str:
 def classify_ot(g: EmbeddedDigraph) -> OTStDigraph:
     """Derive boundary chains and verify the outerplanar triangulated shape.
 
-    The outer face is walked once: its forward darts form the directed
-    right boundary s..t, the reversed remainder the left boundary.  Fails
-    if some vertex is not on the outer face or an interior face is not a
-    triangle: the rotations must follow the boundary cycle with no two
-    edges crossing (checked as the positional arrays are built), and then
-    the interior faces are all triangles exactly when m = 2n - 3.  Large
-    graphs are split with numpy on their stored outer walk
-    (:attr:`EmbeddedDigraph.outer`); when that finds a fault, the
-    pure-Python walk runs again to name it.
+    The stored outer walk (:attr:`EmbeddedDigraph.outer`, walked once per
+    graph) is split: its forward darts form the directed right boundary
+    s..t, the reversed remainder the left boundary.  Fails if some vertex
+    is not on the outer face or an interior face is not a triangle: the
+    rotations must follow the boundary cycle with no two edges crossing
+    (checked as the positional arrays are built), and then the interior
+    faces are all triangles exactly when m = 2n - 3.  Large graphs are
+    split with numpy; when that finds a fault, the pure-Python split runs
+    again to name it.
     """
     np = backend(g.n)
     found = None if np is None else _cycle_np(np, g)
@@ -1391,8 +1394,8 @@ def _cycle_np(np, g: EmbeddedDigraph):
 
 
 def _cycle_py(g: EmbeddedDigraph) -> tuple[list[VertexId], int]:
-    """The boundary cycle and the left chain's length, by one walk of the
-    outer face in pure Python, the reference."""
+    """The boundary cycle and the left chain's length, split off the stored
+    outer walk (:attr:`EmbeddedDigraph.outer`) in pure Python, the reference."""
     nbr, out, twin = g.nbr, g.out, g.twin
     if g.off[g.s] == g.off[g.s + 1]:
         raise GraphError(
@@ -1400,7 +1403,7 @@ def _cycle_py(g: EmbeddedDigraph) -> tuple[list[VertexId], int]:
             f"source {g.names[g.s]} has no edge to fix the outer face",
         )
     # The walk starts at s, the tail of the outer slot.
-    walk = next(face_walks(g, [outer_slot(g)]))
+    walk = g.outer or next(face_walks(g, [outer_slot(g)]))
     visits = [nbr[i] for i in walk].count(g.s)
     if visits != 1:
         raise GraphError(

@@ -3,6 +3,8 @@
 A triangulated st-digraph has a hamiltonian path exactly when no edge is
 the median of a rhombus, i.e. no edge is flanked on both sides by interior
 "transitive" triangles (third vertex w with u->w->v over the edge (u,v)).
+The rhombi come from one pass over the out-slots, each read with its twin
+and the faces right of both; the stored outer walk marks the outer face.
 Hamiltonian paths in DAGs coincide with unique topological orders, which
 Kahn elimination decides in linear time.  From ``NUMPY_MIN_N`` on, the
 order is read off the embedding instead, as the reverse postorder of its
@@ -12,6 +14,7 @@ tree of leftmost in-edges, and checked; Kahn runs only if the check fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import add
 from typing import Optional
 
@@ -22,8 +25,7 @@ from .graph_model import (
     backend,
     check_interior_triangles,
     face_next,
-    face_walks,
-    outer_slot,
+    next_slots,
 )
 
 
@@ -78,31 +80,26 @@ def _rhombi_np(np, g: EmbeddedDigraph):
 
 
 def _rhombi_py(g: EmbeddedDigraph) -> tuple[list[VertexId], ...]:
-    """:func:`rhombus_columns` in pure Python, the reference: one walk over
-    the faces flags each slot whose right face flanks its edge."""
-    off, nbr, out, twin = g.off, g.nbr, g.out, g.twin
-    outer = outer_slot(g)
-    flank = bytearray(len(nbr))
-    for walk in face_walks(g, range(len(nbr))):
-        if outer in walk:
-            continue
-        if len(walk) != 3:
-            check_interior_triangles(g)  # raises: this face is one
-        a, b, c = walk
-        flank[a] = out[b] == out[c] != out[a]
-        flank[b] = out[c] == out[a] != out[b]
-        flank[c] = out[a] == out[b] != out[c]
-
-    def apex(i: int) -> VertexId:
-        v, j = nbr[i], twin[i]
-        return nbr[j - 1 if j > off[v] else off[v + 1] - 1]
-
-    found = sorted(
-        (u, nbr[i], apex(twin[i]), apex(i))
-        for u in range(g.n)
-        for i in range(off[u], off[u + 1])
-        if out[i] and flank[i] and flank[twin[i]]
-    )
+    """:func:`rhombus_columns` in pure Python, the reference: one pass over
+    the out-slots i, with twins j.  The faces right of i and j must be
+    triangles (``nxt`` thrice back) unless on the stored outer walk
+    (:attr:`EmbeddedDigraph.outer`).  i is a median when neither is and the
+    two slots after i run against their edges, the two after j along them."""
+    nbr, out, twin = g.nbr, g.out, g.twin
+    nxt = next_slots(g)
+    inner = bytearray(b"\x01") * len(nbr)
+    for i in g.outer or ():
+        inner[i] = 0
+    found = []
+    for i in compress(range(len(nbr)), out):
+        j = twin[i]
+        a, b = nxt[i], nxt[j]
+        c, d = nxt[a], nxt[b]
+        if inner[i] and nxt[c] != i or inner[j] and nxt[d] != j:
+            check_interior_triangles(g)  # raises: the face is not a triangle
+        if inner[i] and inner[j] and not (out[a] or out[c]) and out[b] and out[d]:
+            found.append((nbr[j], nbr[i], nbr[b], nbr[a]))
+    found.sort()
     return tuple(map(list, zip(*found))) or ([], [], [], [])
 
 

@@ -1,10 +1,12 @@
 """The pure-Python load bodies as they were before their rewrite for
 speed, kept as test oracles.
 
-``_pair_py``, ``_arrays_py``, ``kahn_order`` and ``_validate_py`` of
-:mod:`hpccm.graph_model` now relabel each slot once, walk faces on a
-next-slot list and test rows in one pass.  These copies build a list per
-face and per row instead.
+``_pair_py``, ``_arrays_py``, ``kahn_order``, ``_validate_py`` and
+``_cycle_py`` of :mod:`hpccm.graph_model` now relabel each slot once,
+walk faces on a next-slot list, test rows in one pass and split the
+graph's stored outer walk; ``_rhombi_py`` of :mod:`hpccm.hamiltonicity`
+makes one pass over the out-slots.  These copies build a list per face
+and per row, and walk the outer face again, instead.
 ``tests/test_reference_load.py`` requires both versions to give the same
 result, or the same error kind and message, on every input.
 """
@@ -22,6 +24,7 @@ from hpccm.graph_model import (
     OtArrays,
     VertexId,
     _check_rows,
+    check_interior_triangles,
     face_walks,
     outer_slot,
 )
@@ -150,3 +153,90 @@ def _validate_py(g: EmbeddedDigraph) -> None:
             "sink-not-on-outer-face",
             f"sink {g.names[g.t]} does not lie on the outer face",
         )
+
+
+def _cycle_py(g: EmbeddedDigraph) -> tuple[list[VertexId], int]:
+    """The boundary cycle and the left chain's length, by a walk of the
+    outer face of its own in pure Python."""
+    nbr, out, twin = g.nbr, g.out, g.twin
+    if g.off[g.s] == g.off[g.s + 1]:
+        raise GraphError(
+            "not-outerplanar",
+            f"source {g.names[g.s]} has no edge to fix the outer face",
+        )
+    # The walk starts at s, the tail of the outer slot.
+    walk = next(face_walks(g, [outer_slot(g)]))
+    visits = [nbr[i] for i in walk].count(g.s)
+    if visits != 1:
+        raise GraphError(
+            "not-outerplanar",
+            f"outer boundary visits {g.names[g.s]} {visits} times",
+        )
+    right: list[VertexId] = []
+    left_rev: list[VertexId] = []
+    at_t = False
+    for i in walk[1:]:
+        u, v = nbr[twin[i]], nbr[i]
+        if u == g.t:
+            at_t = True
+        if at_t:
+            if not out[twin[i]]:
+                raise GraphError(
+                    "not-outerplanar",
+                    f"outer boundary dart {g.names[u]}->{g.names[v]} is not a "
+                    f"reversed edge above the sink",
+                )
+            left_rev.append(v)
+        else:
+            if not out[i]:
+                raise GraphError(
+                    "not-outerplanar",
+                    f"outer boundary reverses direction at {g.names[u]} "
+                    f"before reaching the sink",
+                )
+            right.append(u)
+    left = tuple(reversed(left_rev[:-1]))  # drop s, appended when the walk closes
+    boundary = {g.s, g.t, *left, *right}
+    if len(boundary) != g.n or len(left) + len(right) + 2 != len(walk):
+        inner = sorted(set(range(g.n)) - boundary)
+        name = g.names[inner[0]] if inner else "?"
+        raise GraphError(
+            "not-outerplanar", f"vertex {name} does not lie on the outer face"
+        )
+    if set(left) & set(right):
+        raise GraphError("not-outerplanar", "boundary chains overlap")
+    if g.m != 2 * g.n - 3:
+        check_interior_triangles(g)
+        raise GraphError(
+            "non-triangular-face", f"{g.m} edges, a triangulation has {2 * g.n - 3}"
+        )
+    return [g.s, *left, g.t, *reversed(right)], len(left)
+
+
+def _rhombi_py(g: EmbeddedDigraph) -> tuple[list[VertexId], ...]:
+    """:func:`~hpccm.hamiltonicity.rhombus_columns` in pure Python: one
+    walk over the faces flags each slot whose right face flanks its edge."""
+    off, nbr, out, twin = g.off, g.nbr, g.out, g.twin
+    outer = outer_slot(g)
+    flank = bytearray(len(nbr))
+    for walk in face_walks(g, range(len(nbr))):
+        if outer in walk:
+            continue
+        if len(walk) != 3:
+            check_interior_triangles(g)  # raises: this face is one
+        a, b, c = walk
+        flank[a] = out[b] == out[c] != out[a]
+        flank[b] = out[c] == out[a] != out[b]
+        flank[c] = out[a] == out[b] != out[c]
+
+    def apex(i: int) -> VertexId:
+        v, j = nbr[i], twin[i]
+        return nbr[j - 1 if j > off[v] else off[v + 1] - 1]
+
+    found = sorted(
+        (u, nbr[i], apex(twin[i]), apex(i))
+        for u in range(g.n)
+        for i in range(off[u], off[u + 1])
+        if out[i] and flank[i] and flank[twin[i]]
+    )
+    return tuple(map(list, zip(*found))) or ([], [], [], [])

@@ -1264,13 +1264,19 @@ def test_faces_of_four_and_more_slots_validate_at_numpy_size():
 @pytest.mark.parametrize("count", [9, gm.NUMPY_MIN_N // 2])
 def test_each_graph_walks_its_outer_face_once(monkeypatch, count):
     # parse_graph's validation, classify_ot and rhombus_columns share one
-    # outer walk per graph object; a graph built without validation walks
-    # it on first use.
+    # outer walk per graph object, at every size; a graph built without
+    # validation walks it on first use, and a generated one walks it slot
+    # by slot, with no step table built for every slot.
     calls, walk = [], gm.outer_walk
+    steps, step_table = [], gm.next_slots
 
-    def counted(g, nxt):
+    def counted(g, nxt=None):
         calls.append(g)
         return walk(g, nxt)
+
+    def counted_steps(g):
+        steps.append(g)
+        return step_table(g)
 
     text = serialize_graph(polygon_stack(count).base)
     monkeypatch.setattr(gm, "outer_walk", counted)
@@ -1278,13 +1284,16 @@ def test_each_graph_walks_its_outer_face_once(monkeypatch, count):
     classify_ot(g)
     rhombus_columns(g)
     assert len(calls) == 1 and calls[0] is g
-    if gm.backend(g.n) is None:
-        return  # the pure classify_ot and rhombi walk their own faces
     data = json.loads(text)
     h = build_graph(*(data[key] for key in _FORMAT_KEYS), validate=False)
     classify_ot(h)
     rhombus_columns(h)
     assert len(calls) == 2 and calls[1] is h
+    monkeypatch.setattr(gm, "next_slots", counted_steps)
+    ot = random_ot(GenProfile(n_left=12, n_right=9, seed=count))
+    assert ot.n <= 40
+    assert len(calls) == 3 and calls[2] is ot.base and not steps
+    assert "outer" in ot.base.__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The pure-Python load bodies against their old forms in
+"""The pure-Python load and rhombus bodies against their old forms in
 ``tests/reference_load.py``: the same result, or the same error kind and
 message, on the kernel corpus and on small draws given one edit each."""
 
@@ -12,17 +12,25 @@ from dataclasses import replace
 import pytest
 
 import hpccm.graph_model as gm
+import hpccm.hamiltonicity as ham
 from hpccm import (
     EmbeddedDigraph,
     GenProfile,
     GraphError,
     build_graph,
     classify_ot,
+    polygon_stack,
     random_ot,
 )
 from hpccm.hamiltonicity import rhombus_columns
 
 from tests import reference_load as ref
+from tests.conftest import thinned
+from tests.test_hamiltonicity import (
+    _interior_vertex_graph,
+    _square_graph,
+    _triangle_outer_graph,
+)
 
 
 def _outcome(fn, *args):
@@ -44,6 +52,14 @@ def _validated(fn, g: EmbeddedDigraph, kahn):
     return _outcome(fn, h)
 
 
+def _fresh(fn, g: EmbeddedDigraph):
+    """``fn(g)``'s outcome on a fresh copy of ``g``, with no outer walk
+    stored, and on ``g`` itself, which may have one; both must agree."""
+    outcome = _outcome(fn, replace(g))
+    assert _outcome(fn, g) == outcome
+    return outcome
+
+
 def _compare(g: EmbeddedDigraph) -> dict[str, tuple]:
     """Each rewritten body's outcome on ``g``, asserted equal to the old
     one's; returns the outcomes by body."""
@@ -57,7 +73,13 @@ def _compare(g: EmbeddedDigraph) -> dict[str, tuple]:
         assert outcomes[name] == _outcome(old, *args), name
     outcomes["validate"] = _validated(gm._validate_py, g, gm.kahn_order)
     assert outcomes["validate"] == _validated(ref._validate_py, g, ref.kahn_order)
-    cycle = _outcome(gm._cycle_py, g)
+    for name, new, old in [
+        ("cycle", gm._cycle_py, ref._cycle_py),
+        ("rhombi", ham._rhombi_py, ref._rhombi_py),
+    ]:
+        outcomes[name] = _fresh(new, g)
+        assert outcomes[name] == _fresh(old, g), name
+    cycle = outcomes["cycle"]
     if cycle[0] == "ok":
         new = _outcome(gm._arrays_py, g, *cycle[1])
         old = _outcome(ref._arrays_py, g, *cycle[1])
@@ -124,6 +146,10 @@ def test_rewritten_bodies_match_the_old_ones_on_edited_draws():
             kinds[name, outcome[1] if outcome[0] == "error" else "ok"] += 1
     # The edits reach every error the bodies name, and some pass.
     for name, kind in [
+        ("cycle", "not-outerplanar"),
+        ("cycle", "ok"),
+        ("rhombi", "non-triangular-face"),
+        ("rhombi", "ok"),
         ("validate", "multi-source"),
         ("validate", "multi-sink"),
         ("validate", "cyclic"),
@@ -238,3 +264,75 @@ def test_pairing_matches_the_old_one_on_edited_rows(kernel_corpus):
             assert new == _outcome(ref._pair_py, g.names, keys, off, nbr)
             outcomes[new[0]] += 1
     assert outcomes["ok"] >= 50 and outcomes["error"] >= 200, outcomes
+
+
+# ---------------------------------------------------------------------------
+# The rhombi and the boundary split
+
+
+def _directed_square():
+    """The square of :func:`_square_graph` with its edges turned into the
+    cycle s -> b -> t -> a -> s, unvalidated: the interior face's darts all
+    run against their edges, so only the twins of the out-slots reach it."""
+    return build_graph(
+        names=["s", "a", "b", "t"],
+        source="s",
+        sink="t",
+        edges=[("s", "b"), ("b", "t"), ("t", "a"), ("a", "s")],
+        rotation={"s": ["a", "b"], "a": ["t", "s"], "b": ["s", "t"], "t": ["b", "a"]},
+        validate=False,
+    )
+
+
+def _rhombus_inputs(oracle_corpus) -> list[EmbeddedDigraph]:
+    """The oracle corpus, random_ot draws up to n = 300, polygon_stack(k)
+    for k <= 60 and the hand-built graphs."""
+    rng = random.Random(25)
+    records, _ = oracle_corpus
+    graphs = [ot.base for ot, *_ in records]
+    for seed in range(60):
+        prof = GenProfile(rng.randint(0, 149), rng.randint(1, 149), rng.random(), seed)
+        graphs.append(random_ot(prof).base)
+    graphs += [polygon_stack(k).base for k in range(1, 61)]
+    graphs += [_square_graph(), _interior_vertex_graph(), _triangle_outer_graph()]
+    return graphs + [_directed_square()]
+
+
+def _thinned_inputs(graphs: list[EmbeddedDigraph]) -> list[EmbeddedDigraph]:
+    """Each tenth graph of ``graphs`` with a few interior edges deleted."""
+    return [thinned(g, 1 + i % 5, i) for i, g in enumerate(graphs[::10]) if g.m > 3]
+
+
+def test_rhombi_and_cycle_match_the_old_face_walks(oracle_corpus):
+    # One pass over the out-slots gives the old face walk's columns, or
+    # names the same first non-triangular face; the split of the stored
+    # outer walk gives the old walk's cycle or error.
+    graphs = _rhombus_inputs(oracle_corpus)
+    thin = _thinned_inputs(graphs)
+    kinds: Counter = Counter()
+    for g in graphs + thin:
+        rhombi = _fresh(ham._rhombi_py, g)
+        assert rhombi == _fresh(ref._rhombi_py, g)
+        assert _fresh(gm._cycle_py, g) == _fresh(ref._cycle_py, g)
+        kinds[rhombi[1] if rhombi[0] == "error" else len(rhombi[1][0]) > 0] += 1
+    assert kinds[True] >= 500 and kinds[False] >= 5, kinds
+    assert kinds["non-triangular-face"] >= len(thin) + 2, (kinds, len(thin))
+
+
+def test_pure_rhombi_match_numpy(oracle_corpus, monkeypatch):
+    # With the threshold at 0, _rhombi_np gives the pure pass's columns on
+    # every graph it accepts, and declines exactly those the pure pass
+    # rejects.
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(gm, "NUMPY_MIN_N", 0)
+    graphs = _rhombus_inputs(oracle_corpus)
+    declined = 0
+    for g in graphs + _thinned_inputs(graphs):
+        pure = _outcome(ham._rhombi_py, replace(g))
+        columns = ham._rhombi_np(np, replace(g))
+        if columns is None:
+            assert pure[0] == "error"
+            declined += 1
+        else:
+            assert pure == ("ok", columns)
+    assert declined >= 20, declined
